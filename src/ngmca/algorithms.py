@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linops, priors
-from .errors import RankCollapseWarning
+from .errors import NonConvergenceWarning, RankCollapseWarning
 from .rng import stream
 from .subsolvers import HARD, SOFT, SubsolverOptions, fista_update_A, fista_update_S
 
@@ -180,22 +180,48 @@ def ngmca(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
     lambda0 = priors.ngmca_lambda_init(a, s, y)
     reviver = _SourceReviver(cfg.seed, cfg.rank)
     lam = np.full(cfg.rank, lambda0)
+
+    def scheduled(a, s):
+        grad = a.T @ (a @ s - y)
+        lam_final = cfg.tau_final * priors.mad_sigma_rows(grad)
+        return priors.ngmca_lambda_next(lambda0, lam_final, k, decay)
+
     for k in range(1, total + 1):
-        a, scales = linops.normalize_columns(a)
-        live = scales > 0.0
-        s[live] *= scales[live, None]
-        if k <= decay:
-            grad = a.T @ (a @ s - y)
-            lam_final = cfg.tau_final * priors.mad_sigma_rows(grad)
-            lam = priors.ngmca_lambda_next(lambda0, lam_final, k, decay)
-        s = fista_update_S(y, a, lam, s, opts)
-        a = fista_update_A(y, s, a, opts)
+        a, s, lam = _alternate(y, a, s, scheduled if k <= decay else lam, opts)
         reviver.revive(a, s)
         if callback is not None:
             callback(k, a, s, lam)
     if mode == SOFT:
         a, s = _polish(y, a, s, lam, opts)
     return FactorPair(a, s)
+
+
+def _alternate(y, a, s, lam, opts):
+    """One alternation: unit-norm A columns, then the S solve and the A solve.
+
+    The column norms move into S, so A S is unchanged before the solves.
+    lam may be a function of the rescaled (a, s), called before the S solve.
+    Returns the new (a, s) and the lam used; the inputs are not modified.
+    """
+    a, scales = linops.normalize_columns(a)
+    live = scales > 0.0
+    s = s.copy()
+    s[live] *= scales[live, None]
+    if callable(lam):
+        lam = lam(a, s)
+    s = fista_update_S(y, a, lam, s, opts)
+    return fista_update_A(y, s, a, opts), s, lam
+
+
+def _move(a, s, prev_a, prev_s):
+    """Frobenius norms of the move from (prev_a, prev_s) and of its start."""
+    return (np.hypot(np.linalg.norm(a - prev_a), np.linalg.norm(s - prev_s)),
+            np.hypot(np.linalg.norm(prev_a), np.linalg.norm(prev_s)))
+
+
+def _tight(opts):
+    """Polish-grade sub-problem tolerances."""
+    return replace(opts, max_inner_iterations=400, rel_tol=1e-8)
 
 
 #: polish-phase limits: extra fixed-lambda alternations after the schedule
@@ -208,21 +234,19 @@ def _polish(y, a, s, lam, opts):
 
     The scheduled iterations leave the pair close to, but not exactly at, a
     fixed point of the fixed-lambda alternation; a short polish run makes
-    the output stable under one more alternation.
+    the output stable under one more alternation. Running out of POLISH_CAP
+    alternations first raises a NonConvergenceWarning.
     """
-    tight = replace(opts, max_inner_iterations=400, rel_tol=1e-8)
+    tight = _tight(opts)
     for _ in range(POLISH_CAP):
         prev_a, prev_s = a, s
-        a, scales = linops.normalize_columns(a)
-        live = scales > 0.0
-        s = s.copy()
-        s[live] *= scales[live, None]
-        s = fista_update_S(y, a, lam, s, tight)
-        a = fista_update_A(y, s, a, tight)
-        num = np.hypot(np.linalg.norm(a - prev_a), np.linalg.norm(s - prev_s))
-        den = np.hypot(np.linalg.norm(prev_a), np.linalg.norm(prev_s))
+        a, s, _ = _alternate(y, a, s, lam, tight)
+        num, den = _move(a, s, prev_a, prev_s)
         if num <= POLISH_TOL * den:
-            break
+            return a, s
+    warnings.warn(f"polish did not settle in {POLISH_CAP} alternations: last "
+                  f"relative move {num / den:.2e} > {POLISH_TOL:g}",
+                  NonConvergenceWarning, stacklevel=3)
     return a, s
 
 
@@ -235,15 +259,8 @@ def stability_move(y: np.ndarray, pair: FactorPair, lam: np.ndarray,
     sub-problems are solved at polish-grade tolerance so the measurement is
     not dominated by the inner solver's own stopping noise.
     """
-    tight = replace(opts, max_inner_iterations=400, rel_tol=1e-8)
-    a, s = pair.a.copy(), pair.s.copy()
-    a, scales = linops.normalize_columns(a)
-    live = scales > 0.0
-    s[live] *= scales[live, None]
-    s = fista_update_S(y, a, lam, s, tight)
-    a = fista_update_A(y, s, a, tight)
-    num = np.hypot(np.linalg.norm(a - pair.a), np.linalg.norm(s - pair.s))
-    den = np.hypot(np.linalg.norm(pair.a), np.linalg.norm(pair.s))
+    a, s, _ = _alternate(y, pair.a, pair.s, lam, _tight(opts))
+    num, den = _move(a, s, pair.a, pair.s)
     return float(num / den)
 
 

@@ -22,7 +22,6 @@ from . import __version__
 from .algorithms import ORACLE, AlgorithmConfig, run_algorithm
 from .datagen import InstanceSpec, gen_instance
 from .errors import UnknownAxisError
-from .io import _spec_to_jsonable
 from .metrics import cap_sdr, condition_number, pair_sources
 from .rng import derive_seed
 

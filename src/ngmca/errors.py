@@ -51,3 +51,7 @@ class UnknownAxisError(NgmcaError):
 
 class RankCollapseWarning(UserWarning):
     """A source stayed dead after its reinitialization budget was exhausted."""
+
+
+class NonConvergenceWarning(UserWarning):
+    """An iterative phase stopped at its iteration cap before settling."""

@@ -80,20 +80,45 @@ def cap_sdr(value: float, cap: float = SDR_CAP_DB) -> float:
     return min(max(value, -cap), cap)
 
 
+def _sdr_matrix(s_est: np.ndarray, s_ref: np.ndarray) -> np.ndarray:
+    """SDR in dB of each estimate (row) against each reference (column).
+
+    SDR needs only the rank-one target projection: interference, noise and
+    artifacts together are the estimate minus its target. The projection
+    carries the relative ridge of _project and the 1e-10 ||s_est|| snapping
+    of decompose_bss, so the +-inf conventions of sdr() are kept.
+    """
+    ref_energy = np.einsum("ij,ij->i", s_ref, s_ref)
+    coeffs = (s_est @ s_ref.T) / (ref_energy * (1.0 + 1e-12))
+    targets = coeffs[:, :, None] * s_ref[None, :, :]
+    target_norm = np.abs(coeffs) * np.sqrt(ref_energy)
+    distortion_norm = np.linalg.norm(s_est[:, None, :] - targets, axis=2)
+    floor = 1e-10 * np.linalg.norm(s_est, axis=1)[:, None]
+    target_norm[target_norm <= floor] = 0.0
+    distortion_norm[distortion_norm <= floor] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 20.0 * np.log10(target_norm / distortion_norm)
+    out[distortion_norm ** 2 < 1e-300] = math.inf
+    out[target_norm == 0.0] = -math.inf
+    return out
+
+
 def pair_sources(s_est: np.ndarray, s_ref: np.ndarray,
                  noise_rows: np.ndarray) -> PairingResult:
     """Best one-to-one pairing by total SDR (optimal assignment).
 
     The assignment and the reported mean use dB values capped at +-300 so
     perfect recoveries stay finite; per_source_sdr_db keeps the raw values.
+    Each SDR equals sdr(decompose_bss(s_est[i], s_ref, noise_rows, j)) up
+    to rounding; the noise rows only split the distortion, so they do not
+    enter the value.
     """
     r = s_est.shape[0]
     if s_ref.shape[0] != r:
         raise ValueError("estimated and reference source counts differ")
-    sdr_mat = np.empty((r, r))
-    for i in range(r):
-        for j in range(r):
-            sdr_mat[i, j] = sdr(decompose_bss(s_est[i], s_ref, noise_rows, j))
+    if np.linalg.matrix_rank(s_ref) < r:
+        raise DegenerateSpanError("reference sources are rank-deficient")
+    sdr_mat = _sdr_matrix(s_est, s_ref)
     capped = np.clip(sdr_mat, -SDR_CAP_DB, SDR_CAP_DB)
     rows, cols = linear_sum_assignment(-capped)
     perm = np.empty(r, dtype=int)

@@ -6,7 +6,6 @@ here.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,16 +13,6 @@ from .errors import EmptyInputError
 
 #: Gaussian-consistency factor: median(|N(0,1)|) = 0.6745...
 MAD_TO_SIGMA = 0.6744897501960817
-
-
-@dataclass
-class ThresholdSchedule:
-    """Per-source regularization state at one outer iteration."""
-
-    per_source_lambda: np.ndarray
-    outer_iteration: int
-    total_iterations: int
-    tau_final: float
 
 
 def soft_threshold(x, lam):

@@ -2,9 +2,11 @@
 
 The S update minimizes 1/2 ||Y - A S||^2 + sum_i lambda_i ||s_i||_1 + i+(S)
 with FISTA; the A update minimizes 1/2 ||Y - A S||^2 + i+(A) with the same
-accelerated scheme and the orthant projection as prox. Both use the fixed
-step 1/L with L the spectral norm of the relevant Gram matrix, and a
-monotone restart so the returned objective never exceeds the start's.
+accelerated scheme and the orthant projection as prox. Both are one core
+over the Gram quadratic 1/2 <X, G X> - <X, B>: X = S with G = A^T A and
+B = A^T Y, or X = A^T with G = S S^T and B = S Y^T. The step is 1/L with L
+the largest eigenvalue of G, and a monotone restart keeps the returned
+objective at or below the start's.
 """
 
 import math
@@ -13,16 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
-from .linops import nonneg_project, spectral_norm
+from .linops import nonneg_project
 from .priors import hard_threshold, prox_nonneg_l1
 
 SOFT = "soft"
 HARD = "hard"
-
-#: accuracy requested from power iteration for the step size; a 1e-6
-#: relative error on L is immaterial for a gradient step and avoids
-#: thousands of iterations when the top eigenvalues are nearly tied
-LIPSCHITZ_TOL = 1e-6
 
 
 @dataclass
@@ -40,9 +37,47 @@ class SubsolverOptions:
             raise ValueError(f"unknown thresholding mode {self.thresholding_mode!r}")
 
 
-def _check_finite(m: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteError(f"{what} iterate diverged (check the step size)")
+def lipschitz_constant(gram: np.ndarray) -> float:
+    """Gradient Lipschitz constant of 1/2 <X, G X>: the top eigenvalue of G."""
+    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+
+
+def _fista(gram, b, x, prox, lipschitz, iterations, tol, what, slope=None):
+    """FISTA on 1/2 <X, G X> - <X, B> + h(X) from the feasible start x.
+
+    prox(v) is the prox of h / L. Given slope, h is <slope, X> on the
+    non-negative orthant that holds every iterate, and a momentum step that
+    raises the objective is replaced by the plain forward-backward step
+    (monotone restart). The objective change from x to a candidate c is
+    <c - x, G (c + x) / 2 - B + slope>: exact, free of the cancellation of
+    two nearly equal objectives, and cheap because G x is carried along
+    with x and the momentum point. Stops once the relative step is <= tol.
+    """
+    b_slope = None if slope is None else b - slope
+    gx = gram @ x
+    z, gz = x, gx
+    t = 1.0
+    for _ in range(iterations):
+        c = prox(z - (gz - b) / lipschitz)
+        gc = gram @ c
+        d = c - x
+        if b_slope is not None and np.vdot(d, 0.5 * (gc + gx) - b_slope) > 0.0:
+            # momentum overshot: restart and take the plain FBS step
+            t = 1.0
+            c = prox(x - (gx - b) / lipschitz)
+            gc = gram @ c
+            d = c - x
+        diff = np.linalg.norm(d)
+        if not math.isfinite(diff):
+            raise NonFiniteError(f"{what} iterate diverged (check the step size)")
+        denom = max(np.linalg.norm(x), np.finfo(float).tiny)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t - 1.0) / t_next
+        z, gz = c + beta * d, gc + beta * (gc - gx)
+        x, gx, t = c, gc, t_next
+        if diff <= tol * denom:
+            break
+    return x
 
 
 def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
@@ -53,9 +88,10 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
     lam is one threshold per source row (a scalar broadcasts). In soft mode
     the prox is the non-negative soft threshold and the result is the
     minimizer within opts.rel_tol; in hard mode the same iteration runs with
-    the hard threshold instead (no optimality guarantee, cap-based stop).
-    An explicit lipschitz overrides the computed gradient constant; an
-    underestimate voids the convergence guarantee.
+    the hard threshold instead (no optimality guarantee, no restart, stops
+    at a fixed point or the cap). An explicit lipschitz overrides the
+    computed gradient constant; an underestimate voids the convergence
+    guarantee.
     """
     opts = opts or SubsolverOptions()
     m, n = y.shape
@@ -67,50 +103,16 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
 
     gram = a.T @ a
     if lipschitz is None:
-        lipschitz = spectral_norm(gram, tol=LIPSCHITZ_TOL,
-                                  max_iterations=10000)
+        lipschitz = lipschitz_constant(gram)
     if lipschitz == 0.0:
         return np.zeros_like(s0)
-    aty = a.T @ y
     lam_step = lam / lipschitz
-    soft_mode = opts.thresholding_mode == SOFT
-
-    def objective(s):
-        resid = y - a @ s
-        return 0.5 * np.sum(resid * resid) + np.sum(lam * np.abs(s))
-
-    def prox(x):
-        if soft_mode:
-            return prox_nonneg_l1(x, lam_step)
-        return nonneg_project(hard_threshold(x, lam_step))
-
-    s_prev = nonneg_project(s0)
-    r_mat = s_prev
-    t = 1.0
-    obj_prev = objective(s_prev) if soft_mode else None
-
-    for _ in range(opts.max_inner_iterations):
-        cand = prox(r_mat - (gram @ r_mat - aty) / lipschitz)
-        if soft_mode:
-            obj_cand = objective(cand)
-            if obj_cand > obj_prev:
-                # momentum overshot: restart and take the plain FBS step
-                t = 1.0
-                cand = prox(s_prev - (gram @ s_prev - aty) / lipschitz)
-                obj_cand = objective(cand)
-            obj_prev = obj_cand
-        _check_finite(cand, "S")
-        diff = np.linalg.norm(cand - s_prev)
-        denom = max(np.linalg.norm(s_prev), np.finfo(float).tiny)
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        r_mat = cand + ((t - 1.0) / t_next) * (cand - s_prev)
-        s_prev = cand
-        t = t_next
-        if soft_mode and diff <= opts.rel_tol * denom:
-            break
-        if not soft_mode and diff == 0.0:
-            break
-    return s_prev
+    args = (gram, a.T @ y, nonneg_project(s0))
+    if opts.thresholding_mode == SOFT:
+        return _fista(*args, lambda x: prox_nonneg_l1(x, lam_step), lipschitz,
+                      opts.max_inner_iterations, opts.rel_tol, "S", slope=lam)
+    return _fista(*args, lambda x: nonneg_project(hard_threshold(x, lam_step)),
+                  lipschitz, opts.max_inner_iterations, 0.0, "S")
 
 
 def fista_update_A(y: np.ndarray, s: np.ndarray, a0: np.ndarray,
@@ -124,35 +126,10 @@ def fista_update_A(y: np.ndarray, s: np.ndarray, a0: np.ndarray,
             f"Y {y.shape}, S {s.shape}, A0 {a0.shape} do not conform")
 
     gram = s @ s.T
-    lipschitz = spectral_norm(gram, tol=LIPSCHITZ_TOL, max_iterations=10000)
+    lipschitz = lipschitz_constant(gram)
     if lipschitz == 0.0:
         return nonneg_project(a0)
-    yst = y @ s.T
-
-    def objective(a):
-        resid = y - a @ s
-        return 0.5 * np.sum(resid * resid)
-
-    a_prev = nonneg_project(a0)
-    r_mat = a_prev
-    t = 1.0
-    obj_prev = objective(a_prev)
-
-    for _ in range(opts.max_inner_iterations):
-        cand = nonneg_project(r_mat - (r_mat @ gram - yst) / lipschitz)
-        obj_cand = objective(cand)
-        if obj_cand > obj_prev:
-            t = 1.0
-            cand = nonneg_project(a_prev - (a_prev @ gram - yst) / lipschitz)
-            obj_cand = objective(cand)
-        obj_prev = obj_cand
-        _check_finite(cand, "A")
-        diff = np.linalg.norm(cand - a_prev)
-        denom = max(np.linalg.norm(a_prev), np.finfo(float).tiny)
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        r_mat = cand + ((t - 1.0) / t_next) * (cand - a_prev)
-        a_prev = cand
-        t = t_next
-        if diff <= opts.rel_tol * denom:
-            break
-    return a_prev
+    a_t = _fista(gram, s @ y.T, nonneg_project(a0).T, nonneg_project,
+                 lipschitz, opts.max_inner_iterations, opts.rel_tol, "A",
+                 slope=0.0)
+    return np.ascontiguousarray(a_t.T)

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ngmca import algorithms
 from ngmca.algorithms import (ALGORITHM_IDS, DEFAULT_ITERATIONS,
                               AlgorithmConfig, FactorPair, _decay_length,
                               _SourceReviver, als, hals_sparse, initialize,
                               multiplicative_update, ngmca, ngmca_naive,
                               oracle_solve, run_algorithm, stability_move)
 from ngmca.datagen import InstanceSpec, gen_instance
-from ngmca.errors import RankCollapseWarning
+from ngmca.errors import NonConvergenceWarning, RankCollapseWarning
 from ngmca.linops import (least_squares_solve_A, least_squares_solve_S,
                           nonneg_project)
 from ngmca.metrics import pair_sources
@@ -125,6 +126,14 @@ class TestNgmca:
                      callback=lambda k, a, s, lam: captured.update(lam=lam))
         opts = replace(cfg.subsolver, thresholding_mode=SOFT)
         assert stability_move(inst.y, pair, captured["lam"], opts) <= 1e-5
+
+    def test_polish_cap_warns(self, monkeypatch):
+        inst = gen_instance(InstanceSpec(m=25, n=25, r=3, p_S=0.3,
+                                         snr_db=20.0, seed=8))
+        cfg = AlgorithmConfig("ngmca_s", rank=3, outer_iterations=20, seed=1)
+        monkeypatch.setattr(algorithms, "POLISH_CAP", 1)
+        with pytest.warns(NonConvergenceWarning, match="1 alternations"):
+            ngmca(inst.y, cfg)
 
     def test_deterministic(self):
         inst = gen_instance(InstanceSpec(m=25, n=25, r=3, p_S=0.3,

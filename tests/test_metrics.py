@@ -130,6 +130,13 @@ class TestPairSources:
             perm, total = best_assignment(matrix)
             assert total == pytest.approx(
                 matrix[np.arange(r), res.permutation].sum(), abs=1e-9)
+            np.testing.assert_allclose(
+                res.per_source_sdr_db, matrix[np.arange(r), res.permutation],
+                rtol=0.0, atol=1e-9)
+
+    def test_degenerate_references_raise(self):
+        with pytest.raises(DegenerateSpanError):
+            pair_sources(np.eye(2, 10), np.ones((2, 10)), np.zeros((0, 10)))
 
     def test_row_swap_invariance(self, gen):
         refs = gen.standard_normal((3, 25))

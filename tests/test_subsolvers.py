@@ -5,7 +5,7 @@ from ngmca.errors import NonFiniteError, ShapeMismatchError
 from ngmca.linops import normalize_columns, spectral_norm
 from ngmca.priors import soft_threshold
 from ngmca.subsolvers import (SubsolverOptions, fista_update_A,
-                              fista_update_S)
+                              fista_update_S, lipschitz_constant)
 from oracles import grid_min_1d, grid_min_2d, nnls_enumerate_matrix, objective
 
 TIGHT = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-12)
@@ -132,3 +132,56 @@ class TestFistaUpdateA:
         s = gen.random((3, 8)) + 0.1
         y = gen.standard_normal((5, 8))
         assert (fista_update_A(y, s, np.zeros((5, 3))) >= 0).all()
+
+    def test_objective_not_above_start(self, gen):
+        s = gen.random((3, 9)) + 0.1
+        y = gen.standard_normal((6, 9))
+        a0 = gen.random((6, 3))
+        a = fista_update_A(y, s, a0, SubsolverOptions())
+        assert objective(y, a, s) <= objective(y, a0, s) + 1e-12
+
+
+def iterates(solve, count):
+    """The first count iterates of a solve: the cap cuts it after k steps."""
+    return [solve(SubsolverOptions(max_inner_iterations=k, rel_tol=1e-300))
+            for k in range(1, count + 1)]
+
+
+class TestMonotoneIterates:
+    """The penalised objective never rises from one iterate to the next."""
+
+    def assert_non_increasing(self, values):
+        values = np.asarray(values)
+        slack = 1e-12 * np.abs(values[:-1])
+        assert (np.diff(values) <= slack).all()
+
+    def test_S_block(self, gen):
+        a = normalized_design(gen, 12, 5)
+        y = gen.standard_normal((12, 30))
+        s0 = 2.0 * gen.random((5, 30))
+        lam = np.array([0.05, 0.1, 0.2, 0.3, 0.4])
+        steps = iterates(lambda o: fista_update_S(y, a, lam, s0, o), 60)
+        self.assert_non_increasing(
+            [objective(y, a, s0) + np.sum(lam[:, None] * s0)]
+            + [objective(y, a, s) + np.sum(lam[:, None] * s) for s in steps])
+
+    def test_A_block(self, gen):
+        s = gen.random((5, 30)) + 0.05
+        y = gen.standard_normal((12, 30))
+        a0 = 2.0 * gen.random((12, 5))
+        steps = iterates(lambda o: fista_update_A(y, s, a0, o), 60)
+        self.assert_non_increasing(
+            [objective(y, a0, s)] + [objective(y, a, s) for a in steps])
+
+
+class TestLipschitzConstant:
+    def test_matches_power_iteration(self, gen):
+        for _ in range(10):
+            a = gen.standard_normal((20, 6))
+            gram = a.T @ a
+            assert lipschitz_constant(gram) == pytest.approx(
+                spectral_norm(gram, tol=1e-14, max_iterations=100000),
+                rel=1e-8)
+
+    def test_zero_gram(self):
+        assert lipschitz_constant(np.zeros((4, 4))) == 0.0
