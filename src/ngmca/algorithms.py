@@ -281,13 +281,20 @@ def als(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
 
 def _guarded(denom: np.ndarray) -> np.ndarray:
     top = denom.max()
-    floor = 1e-12 * top if top > 0.0 else np.finfo(float).tiny
+    floor = 1e-12 * top if top > 0.0 else linops.TINY
     return np.maximum(denom, floor)
 
 
 def multiplicative_update(y: np.ndarray, cfg: AlgorithmConfig,
                           callback=None) -> FactorPair:
-    """Lee-Seung multiplicative updates for the l2 cost."""
+    """Lee-Seung multiplicative updates for the l2 cost.
+
+    Entries that underflow below the smallest normal double are set to
+    exactly 0. The updates shrink unused entries geometrically, and
+    arithmetic on subnormal numbers takes a slow path on x86; a subnormal
+    entry adds less than one rounding step to any product with the
+    normal-range entries around it, and zeros stay zero under the updates.
+    """
     total = cfg.resolved_iterations()
     pair = _scaled_init(y, cfg.rank, cfg.seed)
     a, s = pair.a, pair.s
@@ -295,7 +302,9 @@ def multiplicative_update(y: np.ndarray, cfg: AlgorithmConfig,
         # Clamping the numerators keeps the factors non-negative when the
         # data has negative entries (noise); it is a no-op for Y >= 0.
         a = a * linops.nonneg_project(y @ s.T) / _guarded(a @ (s @ s.T))
+        a[a < linops.TINY] = 0.0
         s = s * linops.nonneg_project(a.T @ y) / _guarded((a.T @ a) @ s)
+        s[s < linops.TINY] = 0.0
         if callback is not None:
             callback(k, a, s)
     return FactorPair(a, s)
@@ -341,11 +350,10 @@ def hals_sparse(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPai
     pair = _scaled_init(y, cfg.rank, cfg.seed)
     a, s = pair.a, pair.s
     reviver = _SourceReviver(cfg.seed, r)
-    tiny = np.finfo(float).tiny
     for k in range(1, total + 1):
         gram = a.T @ a
         proj = a.T @ y
-        d = np.maximum(np.diag(gram), tiny)
+        d = np.maximum(np.diag(gram), linops.TINY)
         if cfg.sparsity_target > 0.0:
             lam_max = np.max(np.abs(proj))
             lam = _hals_pick_lambda(gram, proj, d, s, cfg.sparsity_target, lam_max)
@@ -361,7 +369,7 @@ def hals_sparse(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPai
                 # keep the cached Gram/projection in sync with the new column
                 gram[i, :] = a[:, i] @ a
                 gram[:, i] = gram[i, :]
-                d[i] = max(gram[i, i], tiny)
+                d[i] = max(gram[i, i], linops.TINY)
                 proj[i] = a[:, i] @ y
         reviver.revive(a, s)
         if callback is not None:

@@ -11,10 +11,29 @@ from .errors import NonConvergenceError, RankDeficientError
 #: deficient and the ridge fallback (or an error) kicks in
 DEFAULT_COND_CAP = 1e12
 
+#: smallest positive normal double
+TINY = np.finfo(float).tiny
+
 
 def nonneg_project(m: np.ndarray) -> np.ndarray:
     """Project onto the non-negative orthant, [x]_+ = max(x, 0)."""
     return np.maximum(m, 0.0)
+
+
+def _gram_condition(gram: np.ndarray) -> float:
+    """2-norm condition number of a symmetric positive semi-definite gram.
+
+    Its singular values are its eigenvalues, so eigvalsh gives the number
+    without an SVD: lambda_max / lambda_min, or inf when lambda_min <= 0
+    (singular up to rounding). As with the SVD of np.linalg.cond, NaN
+    entries raise LinAlgError and infinite entries give inf.
+    """
+    if not np.isfinite(gram).all():
+        if np.isnan(gram).any():
+            raise np.linalg.LinAlgError("normal equations have NaN entries")
+        return np.inf
+    lam = np.linalg.eigvalsh(gram)
+    return lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, cond_cap: float,
@@ -25,7 +44,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, cond_cap: float,
     collapsed factors solvable without noticeably biasing healthy solves.
     """
     r = gram.shape[0]
-    cond = np.linalg.cond(gram)
+    cond = _gram_condition(gram)
     if not np.isfinite(cond) or cond > cond_cap:
         if not allow_fallback:
             raise RankDeficientError(
@@ -33,7 +52,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, cond_cap: float,
             )
         ridge = 1e-12 * np.trace(gram) / r
         if ridge <= 0.0:
-            ridge = np.finfo(float).tiny
+            ridge = TINY
         gram = gram + ridge * np.eye(r)
     try:
         return np.linalg.solve(gram, rhs)
@@ -93,7 +112,7 @@ def spectral_norm(m: np.ndarray, tol: float = 1e-9,
             continue
         new_est = nw  # Rayleigh-quotient-style estimate via |Bv|
         v = w / nw
-        if abs(new_est - est) <= tol * max(new_est, np.finfo(float).tiny):
+        if abs(new_est - est) <= tol * max(new_est, TINY):
             est = new_est
             return abs(est) if symmetric else float(np.sqrt(est))
         est = new_est

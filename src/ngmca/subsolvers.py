@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
-from .linops import nonneg_project
+from .linops import TINY, nonneg_project
 from .priors import hard_threshold, prox_nonneg_l1
 
 SOFT = "soft"
@@ -70,7 +70,7 @@ def _fista(gram, b, x, prox, lipschitz, iterations, tol, what, slope=None):
         diff = np.linalg.norm(d)
         if not math.isfinite(diff):
             raise NonFiniteError(f"{what} iterate diverged (check the step size)")
-        denom = max(np.linalg.norm(x), np.finfo(float).tiny)
+        denom = max(np.linalg.norm(x), TINY)
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         beta = (t - 1.0) / t_next
         z, gz = c + beta * d, gc + beta * (gc - gx)

@@ -224,6 +224,40 @@ class TestMultiplicativeUpdate:
         assert (pair.a >= 0).all() and (pair.s >= 0).all()
         assert np.isfinite(pair.a).all() and np.isfinite(pair.s).all()
 
+    @staticmethod
+    def underflowing_run(callback):
+        # without the flush, 8 S entries of this run are subnormal at k=1000
+        inst = gen_instance(InstanceSpec(m=100, n=100, r=15, p_S=0.1,
+                                         snr_db=20.0, seed=5))
+        cfg = AlgorithmConfig("mu", rank=15, outer_iterations=1000, seed=3)
+        multiplicative_update(inst.y, cfg, callback=callback)
+
+    def test_no_subnormal_entries(self):
+        tiny = np.finfo(float).tiny
+        subnormal = []
+
+        def count(k, a, s):
+            subnormal.append(int(((a > 0) & (a < tiny)).sum()
+                                 + ((s > 0) & (s < tiny)).sum()))
+
+        self.underflowing_run(count)
+        assert len(subnormal) == 1000 and max(subnormal) == 0
+
+    def test_flushed_entries_stay_zero(self):
+        zero = {}
+        flushed = []
+
+        def check(k, a, s):
+            for name, x in (("a", a), ("s", s)):
+                assert (x >= 0).all()
+                if name in zero:
+                    assert (x[zero[name]] == 0).all()
+                    flushed.append(int((~zero[name] & (x == 0)).sum()))
+                zero[name] = x == 0
+
+        self.underflowing_run(check)
+        assert sum(flushed) > 0
+
 
 class TestHalsSparse:
     def test_exact_rank_two_residual(self, gen):

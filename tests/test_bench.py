@@ -1,9 +1,11 @@
 import csv
 import io as stdio
+import time
 
 import numpy as np
 import pytest
 
+from ngmca import bench
 from ngmca.algorithms import AlgorithmConfig
 from ngmca.bench import (BenchmarkConfig, emit_plot, records_to_csv,
                          run_campaign, run_trial, summarize, summary_from_csv,
@@ -71,6 +73,22 @@ class TestRunCampaign:
         assert all(r.error is not None or r.mean_sdr_db is not None
                    for r in records)
         assert len(records) == 2
+
+
+class TestTimings:
+    def test_wall_time_excludes_evaluation(self, monkeypatch):
+        nap = 0.5
+        pair_sources = bench.pair_sources
+
+        def slow_pair_sources(*args):
+            time.sleep(nap)
+            return pair_sources(*args)
+
+        monkeypatch.setattr(bench, "pair_sources", slow_pair_sources)
+        cfg = tiny_config(trials=1)
+        records = run_trial(cfg, cfg.cells()[0], trial=0)
+        assert all(r.error is None for r in records)
+        assert all(r.wall_time_seconds < nap for r in records)
 
 
 class TestCsv:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ngmca.errors import NonConvergenceError, RankDeficientError
-from ngmca.linops import (least_squares_solve_A, least_squares_solve_S,
+from ngmca.linops import (DEFAULT_COND_CAP, _gram_condition,
+                          least_squares_solve_A, least_squares_solve_S,
                           nonneg_project, normalize_columns, spectral_norm)
 
 
@@ -77,6 +78,35 @@ class TestLeastSquares:
         y = np.ones((4, 3))
         s = least_squares_solve_S(a, y)
         assert np.isfinite(s).all()
+
+    @pytest.mark.parametrize("allow_fallback", [True, False])
+    def test_nan_gram_raises(self, gen, allow_fallback):
+        a = gen.random((10, 3))
+        a[4, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            least_squares_solve_S(a, gen.random((10, 5)),
+                                  allow_fallback=allow_fallback)
+
+    def test_infinite_gram_takes_the_fallback(self, gen):
+        a = gen.random((10, 3))
+        a[4, 1] = np.inf
+        y = gen.random((10, 5))
+        with pytest.raises(RankDeficientError):
+            least_squares_solve_S(a, y, allow_fallback=False)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(least_squares_solve_S(a, y)).any()
+
+
+class TestGramCondition:
+    def test_matches_svd_oracle(self, gen):
+        for r in (1, 3, 15):
+            a = gen.random((40, r))
+            assert _gram_condition(a.T @ a) == pytest.approx(
+                np.linalg.cond(a.T @ a), rel=1e-6)
+
+    def test_singular_exceeds_the_cap(self):
+        assert _gram_condition(np.zeros((3, 3))) == np.inf
+        assert _gram_condition(np.ones((3, 3))) > DEFAULT_COND_CAP
 
 
 class TestNormalizeColumns:
