@@ -13,7 +13,7 @@ import numpy as np
 from . import linops, priors
 from .errors import NonConvergenceWarning, RankCollapseWarning
 from .rng import stream
-from .subsolvers import HARD, SOFT, SubsolverOptions, fista_update_A, fista_update_S
+from .subsolvers import SubsolverOptions, fista_update_A, fista_update_S
 
 NGMCA_NAIVE = "ngmca_naive"
 NGMCA_S = "ngmca_s"
@@ -169,10 +169,11 @@ def ngmca(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
 
     The threshold starts at the max-abs entry of the initial gradient,
     decreases linearly to tau_final times the per-row MAD of the gradient
-    over the decay phase, then stays constant during refinement.
+    over the decay phase, then stays constant during refinement. The
+    algorithm id picks the threshold: hard for ngmca_h, soft otherwise;
+    only the soft variant ends with a polish.
     """
-    mode = SOFT if cfg.algorithm_id != NGMCA_H else HARD
-    opts = replace(cfg.subsolver, thresholding_mode=mode)
+    hard = cfg.algorithm_id == NGMCA_H
     total = cfg.resolved_iterations()
     decay = _decay_length(total)
     pair = _scaled_init(y, cfg.rank, cfg.seed)
@@ -187,21 +188,23 @@ def ngmca(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
         return priors.ngmca_lambda_next(lambda0, lam_final, k, decay)
 
     for k in range(1, total + 1):
-        a, s, lam = _alternate(y, a, s, scheduled if k <= decay else lam, opts)
+        a, s, lam = _alternate(y, a, s, scheduled if k <= decay else lam,
+                               cfg.subsolver, hard)
         reviver.revive(a, s)
         if callback is not None:
             callback(k, a, s, lam)
-    if mode == SOFT:
-        a, s = _polish(y, a, s, lam, opts)
+    if not hard:
+        a, s = _polish(y, a, s, lam, cfg.subsolver)
     return FactorPair(a, s)
 
 
-def _alternate(y, a, s, lam, opts):
+def _alternate(y, a, s, lam, opts, hard=False):
     """One alternation: unit-norm A columns, then the S solve and the A solve.
 
     The column norms move into S, so A S is unchanged before the solves.
-    lam may be a function of the rescaled (a, s), called before the S solve.
-    Returns the new (a, s) and the lam used; the inputs are not modified.
+    lam may be a function of the rescaled (a, s), called before the S solve,
+    and hard picks the S solve's threshold. Returns the new (a, s) and the
+    lam used; the inputs are not modified.
     """
     a, scales = linops.normalize_columns(a)
     live = scales > 0.0
@@ -209,7 +212,7 @@ def _alternate(y, a, s, lam, opts):
     s[live] *= scales[live, None]
     if callable(lam):
         lam = lam(a, s)
-    s = fista_update_S(y, a, lam, s, opts)
+    s = fista_update_S(y, a, lam, s, opts, hard=hard)
     return fista_update_A(y, s, a, opts), s, lam
 
 
@@ -381,18 +384,16 @@ def hals_sparse(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPai
 ORACLE_OPTIONS = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-10)
 
 
-def oracle_solve(y: np.ndarray, a_ref: np.ndarray, tau_final: float,
-                 opts: SubsolverOptions | None = None) -> np.ndarray:
+def oracle_solve(y: np.ndarray, a_ref: np.ndarray, tau_final: float) -> np.ndarray:
     """Non-negative l1 inversion with the true mixing matrix.
 
     lambda_i = tau_final times the MAD scale of row i of the gradient at
     S = 0, i.e. of -A_ref^T Y.
     """
-    opts = opts or ORACLE_OPTIONS
     sigma_grad = priors.mad_sigma_rows(-(a_ref.T @ y))
     lam = tau_final * sigma_grad
     s0 = np.zeros((a_ref.shape[1], y.shape[1]))
-    return fista_update_S(y, a_ref, lam, s0, opts)
+    return fista_update_S(y, a_ref, lam, s0, ORACLE_OPTIONS)
 
 
 def run_algorithm(y: np.ndarray, cfg: AlgorithmConfig,

@@ -11,6 +11,7 @@ import io as _io
 import itertools
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import ORACLE, AlgorithmConfig, run_algorithm
-from .datagen import InstanceSpec, gen_instance
+from .algorithms import AlgorithmConfig, run_algorithm
+from .datagen import InstanceSpec, ProblemInstance, gen_instance
 from .errors import UnknownAxisError
 from .metrics import cap_sdr, condition_number, pair_sources
 from .rng import derive_seed
@@ -68,10 +69,33 @@ def _cell_key(cell: dict) -> tuple:
     return tuple(sorted(cell.items()))
 
 
+def _cell_order(cell_key: tuple) -> tuple:
+    """Sort key of a _cell_key that never compares a number with a string:
+    per axis, numbers first in numeric order, then the other values."""
+    return tuple((k, (0, v) if isinstance(v, numbers.Real) else (1, str(v)))
+                 for k, v in cell_key)
+
+
 def _trial_spec(cfg: BenchmarkConfig, cell: dict, trial: int) -> InstanceSpec:
     spec = InstanceSpec(**cell)
     spec.seed = derive_seed(cfg.base_seed, _cell_key(cell), trial, "instance")
     return spec
+
+
+def score_pair(a: np.ndarray, s: np.ndarray, inst: ProblemInstance) -> dict:
+    """Score factors against an instance's references.
+
+    Returns the pairing permutation, the per-source SDRs capped at +-300 dB,
+    the mean SDR of the pairing and the objective 1/2 ||Y - A S||^2.
+    """
+    pairing = pair_sources(s, inst.s_ref, inst.z)
+    resid = inst.y - a @ s
+    return {
+        "permutation": pairing.permutation.tolist(),
+        "per_source_sdr_db": [cap_sdr(v) for v in pairing.per_source_sdr_db],
+        "mean_sdr_db": pairing.mean_sdr_db,
+        "final_objective": 0.5 * float(np.sum(resid * resid)),
+    }
 
 
 def run_trial(cfg: BenchmarkConfig, cell: dict, trial: int) -> list[TrialRecord]:
@@ -100,18 +124,14 @@ def run_trial(cfg: BenchmarkConfig, cell: dict, trial: int) -> list[TrialRecord]
         try:
             start = time.perf_counter()
             try:
-                pair = run_algorithm(inst.y, run_cfg,
-                                     a_ref=inst.a_ref
-                                     if algo.algorithm_id == ORACLE else None)
+                pair = run_algorithm(inst.y, run_cfg, a_ref=inst.a_ref)
             finally:
                 # the algorithm alone: the evaluation below is not timed
                 rec.wall_time_seconds = time.perf_counter() - start
-            resid = inst.y - pair.a @ pair.s
-            pairing = pair_sources(pair.s, inst.s_ref, inst.z)
-            rec.mean_sdr_db = pairing.mean_sdr_db
-            rec.per_source_sdr_db = [cap_sdr(v)
-                                     for v in pairing.per_source_sdr_db]
-            rec.final_objective = 0.5 * float(np.sum(resid * resid))
+            score = score_pair(pair.a, pair.s, inst)
+            rec.mean_sdr_db = score["mean_sdr_db"]
+            rec.per_source_sdr_db = score["per_source_sdr_db"]
+            rec.final_objective = score["final_objective"]
             rec.iterations_run = run_cfg.resolved_iterations()
         except Exception as exc:  # noqa: BLE001
             rec.error = str(exc)
@@ -132,7 +152,7 @@ def run_campaign(cfg: BenchmarkConfig, workers: int = 1) -> list[TrialRecord]:
             batches = [f.result() for f in futures]
     algo_order = {a.algorithm_id: i for i, a in enumerate(cfg.algorithms)}
     records = [rec for batch in batches for rec in batch]
-    records.sort(key=lambda r: (_cell_key(r.cell),
+    records.sort(key=lambda r: (_cell_order(_cell_key(r.cell)),
                                 algo_order.get(r.algorithm_id, -1), r.trial))
     return records
 
@@ -193,7 +213,8 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
     for rec in records:
         groups.setdefault((_cell_key(rec.cell), rec.algorithm_id), []).append(rec)
     rows = []
-    for (cell_key, algo_id), recs in sorted(groups.items()):
+    for (cell_key, algo_id), recs in sorted(
+            groups.items(), key=lambda g: (_cell_order(g[0][0]), g[0][1])):
         ok = [r for r in recs if r.error is None]
         values = [r.mean_sdr_db if r.mean_sdr_db is not None else r.cond_a_ref
                   for r in ok]
@@ -250,16 +271,8 @@ def write_campaign_outputs(cfg: BenchmarkConfig, records: list[TrialRecord],
     (out_dir / RESULTS_CSV).write_text(records_to_csv(records))
     (out_dir / TIMINGS_CSV).write_text(timings_to_csv(records))
     (out_dir / SUMMARY_CSV).write_text(summary_to_csv(summarize(records)))
-    manifest = {
-        "version": __version__,
-        "config": {
-            "grid": cfg.grid,
-            "algorithms": [asdict(a) for a in cfg.algorithms],
-            "trials_per_cell": cfg.trials_per_cell,
-            "base_seed": cfg.base_seed,
-            "output_dir": str(cfg.output_dir),
-        },
-    }
+    manifest = {"version": __version__,
+                "config": {**asdict(cfg), "output_dir": str(cfg.output_dir)}}
     (out_dir / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2,
                                                     sort_keys=True))
 

@@ -9,13 +9,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import io as io_mod
-from .algorithms import ALGORITHM_IDS, ORACLE, run_algorithm
+from .algorithms import ALGORITHM_IDS, run_algorithm
 from .datagen import gen_instance
-from .metrics import cap_sdr, pair_sources
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -74,8 +71,7 @@ def _cmd_run(args) -> None:
     overrides["algorithm_id"] = args.algorithm
     overrides.setdefault("rank", inst.spec.r)
     cfg = io_mod.algorithm_config_from_dict(overrides)
-    pair = run_algorithm(inst.y, cfg,
-                         a_ref=inst.a_ref if args.algorithm == ORACLE else None)
+    pair = run_algorithm(inst.y, cfg, a_ref=inst.a_ref)
     io_mod.write_factors(args.out, pair.a, pair.s,
                          meta={"algorithm_id": cfg.algorithm_id,
                                "seed": cfg.seed})
@@ -83,28 +79,16 @@ def _cmd_run(args) -> None:
 
 def _cmd_eval(args) -> None:
     a, s = io_mod.read_factors(args.factors)
-    inst = io_mod.read_instance(args.instance)
-    pairing = pair_sources(s, inst.s_ref, inst.z)
-    resid = inst.y - a @ s
-    report = {
-        "permutation": pairing.permutation.tolist(),
-        "per_source_sdr_db": [cap_sdr(v) for v in pairing.per_source_sdr_db],
-        "mean_sdr_db": pairing.mean_sdr_db,
-        "final_objective": 0.5 * float(np.sum(resid * resid)),
-    }
+    report = bench_mod.score_pair(a, s, io_mod.read_instance(args.instance))
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _cmd_bench(args) -> None:
     raw = io_mod.load_json(args.config)
-    cfg = bench_mod.BenchmarkConfig(
-        grid=raw["grid"],
-        algorithms=[io_mod.algorithm_config_from_dict(a)
-                    for a in raw.get("algorithms", [])],
-        trials_per_cell=raw.get("trials_per_cell", 24),
-        base_seed=raw.get("base_seed", 0),
-        output_dir=str(args.out),
-    )
+    raw["algorithms"] = [io_mod.algorithm_config_from_dict(a)
+                         for a in raw.get("algorithms", [])]
+    raw["output_dir"] = str(args.out)
+    cfg = bench_mod.BenchmarkConfig(**raw)
     if args.paper_scale:
         cfg.trials_per_cell = 48
         cfg.grid = dict(cfg.grid, m=[200], n=[200])

@@ -31,9 +31,16 @@ class InstanceSpec:
     snr_db: float | str | None = NOISELESS
     seed: int = 0
 
+    def __post_init__(self):
+        # None, inf and "noiseless" all mean no noise; numeric strings
+        # are numbers
+        snr = self.snr_db
+        if isinstance(snr, str) and snr != NOISELESS:
+            snr = float(snr)
+        self.snr_db = NOISELESS if snr is None or snr == math.inf else snr
+
     def is_noiseless(self) -> bool:
-        return (self.snr_db is None or self.snr_db == NOISELESS
-                or self.snr_db == math.inf)
+        return self.snr_db == NOISELESS
 
 
 @dataclass
@@ -121,6 +128,12 @@ def gen_instance(spec: InstanceSpec) -> ProblemInstance:
     _redraw_dead(a_ref, 0, spec.p_A, spec.alpha_A, gen_a, "mixing column")
     s_ref = gen_factor(spec.r, spec.n, spec.p_S, spec.alpha_S, gen_s)
     _redraw_dead(s_ref, 1, spec.p_S, spec.alpha_S, gen_s, "source row")
+    return _observe(a_ref, s_ref, spec)
+
+
+def _observe(a_ref: np.ndarray, s_ref: np.ndarray,
+             spec: InstanceSpec) -> ProblemInstance:
+    """Y = A_ref S_ref plus noise at exactly spec.snr_db (none if noiseless)."""
     x = a_ref @ s_ref
     if spec.is_noiseless():
         z = np.zeros_like(x)
@@ -202,10 +215,4 @@ def gen_nmr_instance(m: int, snr_db: float | str | None, seed: int,
     _redraw_dead(a_ref, 0, 1.0, 2.0, gen_a, "mixing column")
     spec = InstanceSpec(m=m, n=n, r=r, p_A=1.0, alpha_A=2.0,
                         snr_db=snr_db, seed=seed)
-    x = a_ref @ s_ref
-    if spec.is_noiseless():
-        z = np.zeros_like(x)
-        y = x + z
-    else:
-        y, z = add_noise_snr(x, float(snr_db), stream(seed, "noise"))
-    return ProblemInstance(y, a_ref, s_ref, z, spec)
+    return _observe(a_ref, s_ref, spec)

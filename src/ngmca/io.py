@@ -6,7 +6,6 @@ metadata), then the arrays concatenated as little-endian float64 row-major.
 """
 
 import json
-import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import AlgorithmConfig
-from .datagen import NOISELESS, InstanceSpec, ProblemInstance
+from .datagen import InstanceSpec, ProblemInstance
 from .subsolvers import SubsolverOptions
 
 
@@ -44,15 +43,8 @@ def read_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _spec_to_jsonable(spec: InstanceSpec) -> dict:
-    d = asdict(spec)
-    if spec.is_noiseless():
-        d["snr_db"] = NOISELESS
-    return d
-
-
 def write_instance(path: Path, inst: ProblemInstance) -> None:
-    write_container(path, {"kind": "instance", "spec": _spec_to_jsonable(inst.spec)},
+    write_container(path, {"kind": "instance", "spec": asdict(inst.spec)},
                     {"Y": inst.y, "A_ref": inst.a_ref, "S_ref": inst.s_ref,
                      "Z": inst.z})
 
@@ -75,13 +67,6 @@ def read_factors(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def instance_spec_from_dict(d: dict) -> InstanceSpec:
-    d = dict(d)
-    snr = d.get("snr_db", NOISELESS)
-    if isinstance(snr, str) and snr != NOISELESS:
-        snr = float(snr)
-    if snr == math.inf:
-        snr = NOISELESS
-    d["snr_db"] = snr
     return InstanceSpec(**d)
 
 

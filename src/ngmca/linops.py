@@ -9,7 +9,7 @@ from .errors import NonConvergenceError, RankDeficientError
 
 #: conditioning cap beyond which the normal equations are considered rank
 #: deficient and the ridge fallback (or an error) kicks in
-DEFAULT_COND_CAP = 1e12
+COND_CAP = 1e12
 
 #: smallest positive normal double
 TINY = np.finfo(float).tiny
@@ -36,7 +36,7 @@ def _gram_condition(gram: np.ndarray) -> float:
     return lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, cond_cap: float,
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray,
                 allow_fallback: bool) -> np.ndarray:
     """Solve gram @ X = rhs, with a ridge-stabilized fallback.
 
@@ -45,10 +45,10 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, cond_cap: float,
     """
     r = gram.shape[0]
     cond = _gram_condition(gram)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         if not allow_fallback:
             raise RankDeficientError(
-                f"normal equations conditioning {cond:.3e} exceeds cap {cond_cap:.3e}"
+                f"normal equations conditioning {cond:.3e} exceeds cap {COND_CAP:.3e}"
             )
         ridge = 1e-12 * np.trace(gram) / r
         if ridge <= 0.0:
@@ -61,17 +61,15 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, cond_cap: float,
 
 
 def least_squares_solve_S(a: np.ndarray, y: np.ndarray,
-                          cond_cap: float = DEFAULT_COND_CAP,
                           allow_fallback: bool = True) -> np.ndarray:
     """Unconstrained argmin_S ||Y - A S||_2^2 via the normal equations."""
-    return _solve_gram(a.T @ a, a.T @ y, cond_cap, allow_fallback)
+    return _solve_gram(a.T @ a, a.T @ y, allow_fallback)
 
 
 def least_squares_solve_A(s: np.ndarray, y: np.ndarray,
-                          cond_cap: float = DEFAULT_COND_CAP,
                           allow_fallback: bool = True) -> np.ndarray:
     """Unconstrained argmin_A ||Y - A S||_2^2 (no projection)."""
-    return _solve_gram(s @ s.T, s @ y.T, cond_cap, allow_fallback).T
+    return _solve_gram(s @ s.T, s @ y.T, allow_fallback).T
 
 
 def normalize_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

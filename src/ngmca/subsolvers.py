@@ -18,23 +18,17 @@ from .errors import NonFiniteError, ShapeMismatchError
 from .linops import TINY, nonneg_project
 from .priors import hard_threshold, prox_nonneg_l1
 
-SOFT = "soft"
-HARD = "hard"
-
 
 @dataclass
 class SubsolverOptions:
     max_inner_iterations: int = 80
     rel_tol: float = 1e-6
-    thresholding_mode: str = SOFT
 
     def __post_init__(self):
         if self.max_inner_iterations < 1:
             raise ValueError("max_inner_iterations must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be > 0")
-        if self.thresholding_mode not in (SOFT, HARD):
-            raise ValueError(f"unknown thresholding mode {self.thresholding_mode!r}")
 
 
 def lipschitz_constant(gram: np.ndarray) -> float:
@@ -82,14 +76,15 @@ def _fista(gram, b, x, prox, lipschitz, iterations, tol, what, slope=None):
 
 def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
                    opts: SubsolverOptions | None = None,
-                   lipschitz: float | None = None) -> np.ndarray:
+                   lipschitz: float | None = None,
+                   hard: bool = False) -> np.ndarray:
     """Accelerated forward-backward solve of the sparse S sub-problem.
 
-    lam is one threshold per source row (a scalar broadcasts). In soft mode
+    lam is one threshold per source row (a scalar broadcasts). By default
     the prox is the non-negative soft threshold and the result is the
-    minimizer within opts.rel_tol; in hard mode the same iteration runs with
-    the hard threshold instead (no optimality guarantee, no restart, stops
-    at a fixed point or the cap). An explicit lipschitz overrides the
+    minimizer within opts.rel_tol; with hard=True the same iteration runs
+    with the hard threshold instead (no optimality guarantee, no restart,
+    stops at a fixed point or the cap). An explicit lipschitz overrides the
     computed gradient constant; an underestimate voids the convergence
     guarantee.
     """
@@ -108,11 +103,11 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
         return np.zeros_like(s0)
     lam_step = lam / lipschitz
     args = (gram, a.T @ y, nonneg_project(s0))
-    if opts.thresholding_mode == SOFT:
-        return _fista(*args, lambda x: prox_nonneg_l1(x, lam_step), lipschitz,
-                      opts.max_inner_iterations, opts.rel_tol, "S", slope=lam)
-    return _fista(*args, lambda x: nonneg_project(hard_threshold(x, lam_step)),
-                  lipschitz, opts.max_inner_iterations, 0.0, "S")
+    if hard:
+        return _fista(*args, lambda x: nonneg_project(hard_threshold(x, lam_step)),
+                      lipschitz, opts.max_inner_iterations, 0.0, "S")
+    return _fista(*args, lambda x: prox_nonneg_l1(x, lam_step), lipschitz,
+                  opts.max_inner_iterations, opts.rel_tol, "S", slope=lam)
 
 
 def fista_update_A(y: np.ndarray, s: np.ndarray, a0: np.ndarray,

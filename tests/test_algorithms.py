@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from ngmca.linops import (least_squares_solve_A, least_squares_solve_S,
                           nonneg_project)
 from ngmca.metrics import pair_sources
 from ngmca.priors import soft_threshold
-from ngmca.subsolvers import SOFT, SubsolverOptions, fista_update_S
+from ngmca.subsolvers import SubsolverOptions, fista_update_S
 from oracles import objective
 
 
@@ -91,6 +90,23 @@ class TestNgmca:
             pair = ngmca(inst.y, cfg)
             assert (pair.a >= 0).all() and (pair.s >= 0).all()
 
+    def test_algorithm_id_picks_the_threshold(self, monkeypatch):
+        inst = gen_instance(InstanceSpec(m=30, n=30, r=3, p_S=0.3,
+                                         snr_db=20.0, seed=4))
+        fista = algorithms.fista_update_S
+        modes, pairs = {}, {}
+
+        def spy(*args, hard=False, **kwargs):
+            modes.setdefault(algo, set()).add(hard)
+            return fista(*args, hard=hard, **kwargs)
+
+        monkeypatch.setattr(algorithms, "fista_update_S", spy)
+        for algo in ("ngmca_s", "ngmca_h"):
+            cfg = AlgorithmConfig(algo, rank=3, outer_iterations=80, seed=4)
+            pairs[algo] = ngmca(inst.y, cfg)
+        assert modes == {"ngmca_s": {False}, "ngmca_h": {True}}
+        assert not np.array_equal(pairs["ngmca_s"].s, pairs["ngmca_h"].s)
+
     def test_lambda_zero_fixed_mixing_reduces_to_nnls(self, gen):
         inst = gen_instance(InstanceSpec(m=20, n=25, r=3, p_S=0.3,
                                          snr_db=30.0, seed=6))
@@ -124,8 +140,8 @@ class TestNgmca:
         captured = {}
         pair = ngmca(inst.y, cfg,
                      callback=lambda k, a, s, lam: captured.update(lam=lam))
-        opts = replace(cfg.subsolver, thresholding_mode=SOFT)
-        assert stability_move(inst.y, pair, captured["lam"], opts) <= 1e-5
+        assert stability_move(inst.y, pair, captured["lam"],
+                              cfg.subsolver) <= 1e-5
 
     def test_polish_cap_warns(self, monkeypatch):
         inst = gen_instance(InstanceSpec(m=25, n=25, r=3, p_S=0.3,

@@ -63,6 +63,18 @@ class TestRunCampaign:
         assert all(r.cond_a_ref is not None and r.cond_a_ref >= 1.0
                    for r in records)
 
+    def test_mixed_snr_axis(self, tmp_path):
+        # numbers and "noiseless" on one axis: numbers first, in order
+        cfg = tiny_config(trials=1)
+        cfg.grid["snr_db"] = ["noiseless", 20.0, 10.0]
+        write_campaign_outputs(cfg, run_campaign(cfg), tmp_path)
+        for name in ("results.csv", "summary.csv"):
+            rows = csv.DictReader(stdio.StringIO((tmp_path / name).read_text()))
+            snrs = list(dict.fromkeys(row["snr_db"] for row in rows))
+            assert snrs == ["10.0", "20.0", "noiseless"]
+        assert (tmp_path / "timings.csv").exists()
+        assert (tmp_path / "manifest.json").exists()
+
     def test_failures_become_error_rows(self):
         cfg = tiny_config()
         # rank exceeding min(m, n) makes the evaluation pairing impossible,

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from ngmca import bench
+from ngmca.algorithms import AlgorithmConfig
 from ngmca.cli import main
-from ngmca.io import read_factors, read_instance
+from ngmca.io import read_factors, read_instance, write_factors, write_instance
 
 
 def write_json(path, data):
@@ -61,6 +63,42 @@ class TestPipeline:
                 "final_objective"} <= set(report)
         assert np.isfinite(report["mean_sdr_db"])
 
+    def test_eval_report_is_the_bench_score(self, tmp_path, monkeypatch):
+        cfg = bench.BenchmarkConfig(
+            grid={"m": [20], "n": [20], "r": [2], "p_S": [0.4],
+                  "snr_db": [20.0]},
+            algorithms=[AlgorithmConfig("als", rank=2, outer_iterations=15)],
+            trials_per_cell=1, base_seed=3)
+        # keep what run_trial scores: the factors, the instance, the score
+        seen = []
+        score_pair = bench.score_pair
+
+        def spy(a, s, inst):
+            seen.append((a, s, inst, score_pair(a, s, inst)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(bench, "score_pair", spy)
+        (rec,) = bench.run_trial(cfg, cfg.cells()[0], 0)
+        a, s, inst, score = seen[0]
+        write_instance(tmp_path / "inst.bin", inst)
+        write_factors(tmp_path / "factors.bin", a, s)
+        assert main(["eval", "--factors", str(tmp_path / "factors.bin"),
+                     "--instance", str(tmp_path / "inst.bin"),
+                     "--out", str(tmp_path / "eval.json")]) == 0
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report == json.loads(json.dumps(score))
+        assert report["mean_sdr_db"] == rec.mean_sdr_db
+        assert report["per_source_sdr_db"] == rec.per_source_sdr_db
+        assert report["final_objective"] == rec.final_objective
+
+    def test_thresholding_mode_is_runtime_error(self, tmp_path,
+                                                instance_file):
+        cfg = write_json(tmp_path / "algo.json",
+                         {"subsolver": {"thresholding_mode": "hard"}})
+        assert main(["run", "--algorithm", "ngmca_s",
+                     "--instance", str(instance_file),
+                     "--config", cfg, "--out", str(tmp_path / "f.bin")]) == 2
+
     def test_oracle_run_uses_reference_mixing(self, tmp_path, instance_file):
         factors = tmp_path / "oracle.bin"
         assert main(["run", "--algorithm", "oracle",
@@ -88,6 +126,18 @@ class TestPipeline:
                      "--x", "snr_db", "--out", str(fig)]) == 0
         assert fig.read_text().startswith("<svg")
         assert fig.with_suffix(".csv").exists()
+
+    def test_bench_unknown_key_is_runtime_error(self, tmp_path):
+        campaign = write_json(tmp_path / "campaign.json", {
+            "grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
+            "algorithms": [{"algorithm_id": "als", "rank": 2,
+                            "outer_iterations": 10}],
+            "trials_per_cel": 1,
+        })
+        out_dir = tmp_path / "results"
+        assert main(["bench", "--config", campaign,
+                     "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
 
     def test_plot_unknown_axis_is_runtime_error(self, tmp_path):
         campaign = write_json(tmp_path / "campaign.json", {

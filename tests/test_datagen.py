@@ -184,6 +184,13 @@ class TestNmrInstance:
         assert measure_snr(inst.y, inst.a_ref @ inst.s_ref) \
             == pytest.approx(15.0, abs=1e-6)
 
+    @pytest.mark.parametrize("snr", [None, math.inf, "noiseless"])
+    def test_noiseless(self, snr):
+        inst = gen_nmr_instance(m=10, snr_db=snr, seed=8)
+        assert inst.spec.is_noiseless()
+        np.testing.assert_array_equal(inst.z, 0.0)
+        np.testing.assert_array_equal(inst.y, inst.a_ref @ inst.s_ref)
+
     def test_deterministic(self):
         i1 = gen_nmr_instance(m=10, snr_db=15.0, seed=8)
         i2 = gen_nmr_instance(m=10, snr_db=15.0, seed=8)

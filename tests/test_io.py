@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ngmca.algorithms import AlgorithmConfig
-from ngmca.datagen import InstanceSpec, gen_instance
+from ngmca.datagen import NOISELESS, InstanceSpec, gen_instance
 from ngmca.io import (algorithm_config_from_dict, instance_spec_from_dict,
                       read_container, read_factors, read_instance,
                       write_container, write_factors, write_instance)
@@ -53,6 +54,17 @@ class TestInstanceIo:
         np.testing.assert_array_equal(back.z, inst.z)
         assert back.spec == inst.spec
 
+    @pytest.mark.parametrize("snr, expected", [
+        (None, NOISELESS), (math.inf, NOISELESS), ("inf", NOISELESS),
+        (NOISELESS, NOISELESS), ("12.5", 12.5), (12.5, 12.5)])
+    def test_snr_normalised_and_round_trips(self, tmp_path, snr, expected):
+        spec = InstanceSpec(m=6, n=7, r=2, p_S=0.5, snr_db=snr, seed=1)
+        assert spec.snr_db == expected
+        assert spec.is_noiseless() == (expected == NOISELESS)
+        path = tmp_path / "inst.bin"
+        write_instance(path, gen_instance(spec))
+        assert read_instance(path).spec == spec
+
     def test_factors_round_trip(self, tmp_path, gen):
         a, s = gen.random((5, 2)), gen.random((2, 6))
         path = tmp_path / "f.bin"
@@ -86,3 +98,10 @@ class TestConfigParsing:
         with pytest.raises(TypeError):
             algorithm_config_from_dict({"algorithm_id": "als",
                                         "learning_rate": 0.1})
+
+    def test_thresholding_mode_rejected(self):
+        # the algorithm id alone picks the threshold
+        with pytest.raises(TypeError):
+            algorithm_config_from_dict(
+                {"algorithm_id": "ngmca_s",
+                 "subsolver": {"thresholding_mode": "hard"}})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ngmca.errors import NonConvergenceError, RankDeficientError
-from ngmca.linops import (DEFAULT_COND_CAP, _gram_condition,
+from ngmca.linops import (COND_CAP, _gram_condition,
                           least_squares_solve_A, least_squares_solve_S,
                           nonneg_project, normalize_columns, spectral_norm)
 
@@ -106,7 +106,7 @@ class TestGramCondition:
 
     def test_singular_exceeds_the_cap(self):
         assert _gram_condition(np.zeros((3, 3))) == np.inf
-        assert _gram_condition(np.ones((3, 3))) > DEFAULT_COND_CAP
+        assert _gram_condition(np.ones((3, 3))) > COND_CAP
 
 
 class TestNormalizeColumns:

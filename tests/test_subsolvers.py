@@ -86,9 +86,8 @@ class TestFistaUpdateS:
     def test_hard_mode_fixed_point(self, gen):
         a = normalized_design(gen, 6, 3)
         y = np.abs(gen.standard_normal((6, 7)))
-        opts = SubsolverOptions(max_inner_iterations=500,
-                                thresholding_mode="hard")
-        s = fista_update_S(y, a, 0.05, np.zeros((3, 7)), opts)
+        opts = SubsolverOptions(max_inner_iterations=500)
+        s = fista_update_S(y, a, 0.05, np.zeros((3, 7)), opts, hard=True)
         assert (s >= 0).all() and np.isfinite(s).all()
 
     def test_underestimated_lipschitz_diverges(self):
@@ -98,14 +97,14 @@ class TestFistaUpdateS:
         a = normalized_design(gen, 6, 4)
         y = gen.standard_normal((6, 20))
         s0 = np.abs(gen.standard_normal((4, 20)))
-        opts = SubsolverOptions(max_inner_iterations=2000,
-                                thresholding_mode="hard")
+        opts = SubsolverOptions(max_inner_iterations=2000)
         lip = spectral_norm(a.T @ a)
-        good = fista_update_S(y, a, 0.01, s0, opts, lipschitz=lip)
+        good = fista_update_S(y, a, 0.01, s0, opts, lipschitz=lip, hard=True)
         assert np.isfinite(good).all()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError):
-                fista_update_S(y, a, 0.01, s0, opts, lipschitz=lip / 4)
+                fista_update_S(y, a, 0.01, s0, opts, lipschitz=lip / 4,
+                               hard=True)
 
 
 class TestFistaUpdateA:
