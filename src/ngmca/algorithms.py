@@ -6,7 +6,7 @@ FactorPair with both factors non-negative. Runs are deterministic given
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,13 @@ REFINEMENT_FRACTION = 0.2
 #: per-source budget of dead-source reinitializations
 REINIT_BUDGET = 3
 
+#: inner-solver tolerances, one set per phase: the scheduled alternations
+#: of ngmca, the polish (and stability_move), and the oracle's one-shot
+#: solve, whose generous budget makes it tight
+SCHEDULE_OPTIONS = SubsolverOptions()
+POLISH_OPTIONS = SubsolverOptions(max_inner_iterations=400, rel_tol=1e-8)
+ORACLE_OPTIONS = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-10)
+
 
 @dataclass
 class FactorPair:
@@ -59,7 +66,6 @@ class AlgorithmConfig:
     outer_iterations: int | None = None  # None -> per-algorithm default
     tau_final: float = 1.0
     seed: int = 0
-    subsolver: SubsolverOptions = field(default_factory=SubsolverOptions)
     sparsity_target: float = 0.5
 
     def __post_init__(self):
@@ -189,12 +195,12 @@ def ngmca(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
 
     for k in range(1, total + 1):
         a, s, lam = _alternate(y, a, s, scheduled if k <= decay else lam,
-                               cfg.subsolver, hard)
+                               SCHEDULE_OPTIONS, hard)
         reviver.revive(a, s)
         if callback is not None:
             callback(k, a, s, lam)
     if not hard:
-        a, s = _polish(y, a, s, lam, cfg.subsolver)
+        a, s = _polish(y, a, s, lam)
     return FactorPair(a, s)
 
 
@@ -222,17 +228,12 @@ def _move(a, s, prev_a, prev_s):
             np.hypot(np.linalg.norm(prev_a), np.linalg.norm(prev_s)))
 
 
-def _tight(opts):
-    """Polish-grade sub-problem tolerances."""
-    return replace(opts, max_inner_iterations=400, rel_tol=1e-8)
-
-
 #: polish-phase limits: extra fixed-lambda alternations after the schedule
 POLISH_CAP = 300
 POLISH_TOL = 2e-6
 
 
-def _polish(y, a, s, lam, opts):
+def _polish(y, a, s, lam):
     """Extra alternations at the final lambda until the iterates settle.
 
     The scheduled iterations leave the pair close to, but not exactly at, a
@@ -240,10 +241,9 @@ def _polish(y, a, s, lam, opts):
     the output stable under one more alternation. Running out of POLISH_CAP
     alternations first raises a NonConvergenceWarning.
     """
-    tight = _tight(opts)
     for _ in range(POLISH_CAP):
         prev_a, prev_s = a, s
-        a, s, _ = _alternate(y, a, s, lam, tight)
+        a, s, _ = _alternate(y, a, s, lam, POLISH_OPTIONS)
         num, den = _move(a, s, prev_a, prev_s)
         if num <= POLISH_TOL * den:
             return a, s
@@ -253,8 +253,7 @@ def _polish(y, a, s, lam, opts):
     return a, s
 
 
-def stability_move(y: np.ndarray, pair: FactorPair, lam: np.ndarray,
-                   opts: SubsolverOptions) -> float:
+def stability_move(y: np.ndarray, pair: FactorPair, lam: np.ndarray) -> float:
     """Relative Frobenius move of one extra alternation at fixed lambda.
 
     A converged run should be (numerically) a fixed point of its own loop
@@ -262,7 +261,7 @@ def stability_move(y: np.ndarray, pair: FactorPair, lam: np.ndarray,
     sub-problems are solved at polish-grade tolerance so the measurement is
     not dominated by the inner solver's own stopping noise.
     """
-    a, s, _ = _alternate(y, pair.a, pair.s, lam, _tight(opts))
+    a, s, _ = _alternate(y, pair.a, pair.s, lam, POLISH_OPTIONS)
     num, den = _move(a, s, pair.a, pair.s)
     return float(num / den)
 
@@ -378,10 +377,6 @@ def hals_sparse(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPai
         if callback is not None:
             callback(k, a, s)
     return FactorPair(a, s)
-
-
-#: generous inner budget so the one-shot solve is tight
-ORACLE_OPTIONS = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-10)
 
 
 def oracle_solve(y: np.ndarray, a_ref: np.ndarray, tau_final: float) -> np.ndarray:

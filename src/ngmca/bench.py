@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -34,6 +35,10 @@ MANIFEST_JSON = "manifest.json"
 _FIXED_COLUMNS = ["algorithm_id", "trial", "seed", "mean_sdr_db",
                   "per_source_sdr_db", "final_objective", "iterations_run",
                   "cond_a_ref", "error"]
+
+#: the statistics columns of summary.csv; a grid axis of the same name
+#: (the instance's column count n) is written as grid_<name>
+SUMMARY_COLUMNS = ["algorithm_id", "n", "n_errors", "mean", "median", "sem"]
 
 
 @dataclass
@@ -219,7 +224,8 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
         values = [r.mean_sdr_db if r.mean_sdr_db is not None else r.cond_a_ref
                   for r in ok]
         values = [v for v in values if v is not None]
-        row = dict(cell_key)
+        row = {f"grid_{k}" if k in SUMMARY_COLUMNS else k: v
+               for k, v in cell_key}
         row["algorithm_id"] = algo_id
         row["n"] = len(values)
         row["n_errors"] = len(recs) - len(ok)
@@ -236,13 +242,12 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
 
 
 def summary_to_csv(rows: list[dict]) -> str:
-    stat_cols = ["algorithm_id", "n", "n_errors", "mean", "median", "sem"]
-    grid_cols = sorted(k for k in rows[0] if k not in stat_cols)
+    grid_cols = sorted(k for k in rows[0] if k not in SUMMARY_COLUMNS)
     out = _io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(grid_cols + stat_cols)
+    writer.writerow(grid_cols + SUMMARY_COLUMNS)
     for row in rows:
-        writer.writerow([_fmt(row.get(k)) for k in grid_cols + stat_cols])
+        writer.writerow([_fmt(row.get(k)) for k in grid_cols + SUMMARY_COLUMNS])
     return out.getvalue()
 
 
@@ -285,25 +290,34 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def emit_plot(summary_rows: list[dict], x_axis: str, out: Path) -> None:
     """Self-contained SVG line chart (one line per algorithm, SEM bars)
-    plus a sidecar CSV of the plotted points."""
+    plus a sidecar CSV of the plotted points.
+
+    Rows whose x value is not numeric (a "noiseless" SNR) are left out
+    with a warning that names the values.
+    """
     if not summary_rows:
         raise UnknownAxisError("empty summary")
     if x_axis not in summary_rows[0]:
         raise UnknownAxisError(f"{x_axis!r} is not a summary column")
 
     series: dict[str, dict[float, list[tuple[float, float]]]] = {}
+    skipped = set()
     for row in summary_rows:
         if row.get("mean") is None:
             continue
-        x = row[x_axis]
         try:
-            x = float(x)
-        except (TypeError, ValueError) as exc:
-            raise UnknownAxisError(f"{x_axis!r} values are not numeric") from exc
+            x = float(row[x_axis])
+        except (TypeError, ValueError):
+            skipped.add(str(row[x_axis]))
+            continue
         series.setdefault(str(row["algorithm_id"]), {}).setdefault(x, []).append(
             (float(row["mean"]), float(row.get("sem") or 0.0)))
     if not series:
-        raise UnknownAxisError("summary holds no plottable values")
+        raise UnknownAxisError(f"{x_axis!r} values are not numeric" if skipped
+                               else "summary holds no plottable values")
+    if skipped:
+        warnings.warn(f"{x_axis!r}: left out the non-numeric values "
+                      f"{', '.join(sorted(skipped))}", stacklevel=2)
 
     points: dict[str, list[tuple[float, float, float]]] = {}
     for algo, by_x in series.items():

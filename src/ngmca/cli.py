@@ -11,8 +11,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .algorithms import ALGORITHM_IDS, run_algorithm
-from .datagen import gen_instance
+from .algorithms import ALGORITHM_IDS, AlgorithmConfig, run_algorithm
+from .datagen import InstanceSpec, gen_instance
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> None:
-    spec = io_mod.instance_spec_from_dict(io_mod.load_json(args.spec))
+    spec = InstanceSpec(**io_mod.load_json(args.spec))
     io_mod.write_instance(args.out, gen_instance(spec))
 
 
@@ -70,7 +70,7 @@ def _cmd_run(args) -> None:
     overrides = io_mod.load_json(args.config) if args.config else {}
     overrides["algorithm_id"] = args.algorithm
     overrides.setdefault("rank", inst.spec.r)
-    cfg = io_mod.algorithm_config_from_dict(overrides)
+    cfg = AlgorithmConfig(**overrides)
     pair = run_algorithm(inst.y, cfg, a_ref=inst.a_ref)
     io_mod.write_factors(args.out, pair.a, pair.s,
                          meta={"algorithm_id": cfg.algorithm_id,
@@ -85,8 +85,7 @@ def _cmd_eval(args) -> None:
 
 def _cmd_bench(args) -> None:
     raw = io_mod.load_json(args.config)
-    raw["algorithms"] = [io_mod.algorithm_config_from_dict(a)
-                         for a in raw.get("algorithms", [])]
+    raw["algorithms"] = [AlgorithmConfig(**a) for a in raw.get("algorithms", [])]
     raw["output_dir"] = str(args.out)
     cfg = bench_mod.BenchmarkConfig(**raw)
     if args.paper_scale:

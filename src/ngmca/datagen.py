@@ -90,7 +90,8 @@ def gen_factor(rows: int, cols: int, p: float, alpha: float,
 
 def add_noise_snr(x: np.ndarray, snr_db: float,
                   gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Add Gaussian noise rescaled so the realized SNR is exactly snr_db."""
+    """Add Gaussian noise rescaled so the realized SNR is exactly snr_db;
+    snr_db = inf adds zero noise and draws nothing."""
     signal_norm = np.linalg.norm(x)
     if signal_norm == 0.0:
         raise ZeroSignalError("cannot set an SNR against a zero signal")
@@ -134,12 +135,8 @@ def gen_instance(spec: InstanceSpec) -> ProblemInstance:
 def _observe(a_ref: np.ndarray, s_ref: np.ndarray,
              spec: InstanceSpec) -> ProblemInstance:
     """Y = A_ref S_ref plus noise at exactly spec.snr_db (none if noiseless)."""
-    x = a_ref @ s_ref
-    if spec.is_noiseless():
-        z = np.zeros_like(x)
-        y = x + z
-    else:
-        y, z = add_noise_snr(x, float(spec.snr_db), stream(spec.seed, "noise"))
+    snr_db = math.inf if spec.is_noiseless() else float(spec.snr_db)
+    y, z = add_noise_snr(a_ref @ s_ref, snr_db, stream(spec.seed, "noise"))
     return ProblemInstance(y, a_ref, s_ref, z, spec)
 
 

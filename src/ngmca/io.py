@@ -1,8 +1,11 @@
-"""File formats: the binary matrix container and JSON config parsing.
+"""File formats: the binary matrix container and JSON loading.
 
 Container layout: an 8-byte little-endian header length, a UTF-8 JSON
 header describing the payload (array names and shapes, plus free-form
 metadata), then the arrays concatenated as little-endian float64 row-major.
+JSON configs map one to one onto the dataclass fields: callers build
+InstanceSpec(**d) and AlgorithmConfig(**d), so an unknown key is a
+TypeError.
 """
 
 import json
@@ -12,9 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig
 from .datagen import InstanceSpec, ProblemInstance
-from .subsolvers import SubsolverOptions
 
 
 def write_container(path: Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -51,7 +52,7 @@ def write_instance(path: Path, inst: ProblemInstance) -> None:
 
 def read_instance(path: Path) -> ProblemInstance:
     header, arrays = read_container(path)
-    spec = instance_spec_from_dict(header["spec"])
+    spec = InstanceSpec(**header["spec"])
     return ProblemInstance(arrays["Y"], arrays["A_ref"], arrays["S_ref"],
                            arrays["Z"], spec)
 
@@ -64,19 +65,6 @@ def write_factors(path: Path, a: np.ndarray, s: np.ndarray,
 def read_factors(path: Path) -> tuple[np.ndarray, np.ndarray]:
     _, arrays = read_container(path)
     return arrays["A"], arrays["S"]
-
-
-def instance_spec_from_dict(d: dict) -> InstanceSpec:
-    return InstanceSpec(**d)
-
-
-def algorithm_config_from_dict(d: dict) -> AlgorithmConfig:
-    d = dict(d)
-    sub = d.pop("subsolver", None)
-    cfg = AlgorithmConfig(**d)
-    if sub is not None:
-        cfg.subsolver = SubsolverOptions(**sub)
-    return cfg
 
 
 def load_json(path: Path) -> dict:

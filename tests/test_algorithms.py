@@ -140,8 +140,7 @@ class TestNgmca:
         captured = {}
         pair = ngmca(inst.y, cfg,
                      callback=lambda k, a, s, lam: captured.update(lam=lam))
-        assert stability_move(inst.y, pair, captured["lam"],
-                              cfg.subsolver) <= 1e-5
+        assert stability_move(inst.y, pair, captured["lam"]) <= 1e-5
 
     def test_polish_cap_warns(self, monkeypatch):
         inst = gen_instance(InstanceSpec(m=25, n=25, r=3, p_S=0.3,

@@ -162,6 +162,16 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_swept_n_axis_kept(self):
+        # the grid's n (column count) must not be overwritten by the
+        # trial count, which keeps the column name n
+        cfg = tiny_config(trials=2)
+        cfg.grid["n"] = [20, 30]
+        cfg.algorithms = cfg.algorithms[:1]
+        rows = summary_from_csv(summary_to_csv(summarize(run_campaign(cfg))))
+        assert [row["grid_n"] for row in rows] == [20.0, 30.0]
+        assert [row["n"] for row in rows] == [2, 2]
+
 
 class TestOutputsAndPlot:
     def summary_rows(self):
@@ -207,6 +217,27 @@ class TestOutputsAndPlot:
         out = tmp_path / "fig.svg"
         with pytest.raises(UnknownAxisError):
             emit_plot([], "snr_db", out)
+        assert not out.exists()
+
+    def test_non_numeric_x_left_out_with_warning(self, tmp_path):
+        # a mixed SNR axis, read back from summary.csv as the CLI does
+        noiseless = {"snr_db": "noiseless", "algorithm_id": "als", "n": 4,
+                     "n_errors": 0, "mean": 30.0, "median": 30.0, "sem": 0.2}
+        rows = summary_from_csv(summary_to_csv(self.summary_rows()
+                                               + [noiseless]))
+        out = tmp_path / "fig.svg"
+        with pytest.warns(UserWarning, match="noiseless"):
+            emit_plot(rows, "snr_db", out)
+        sidecar = list(csv.DictReader(stdio.StringIO(
+            out.with_suffix(".csv").read_text())))
+        assert sorted({float(r["snr_db"]) for r in sidecar}) == [10.0, 15.0, 20.0]
+        assert len(sidecar) == len(self.summary_rows())
+
+    def test_no_numeric_x_raises(self, tmp_path):
+        rows = [dict(r, snr_db="noiseless") for r in self.summary_rows()]
+        out = tmp_path / "fig.svg"
+        with pytest.raises(UnknownAxisError, match="not numeric"):
+            emit_plot(rows, "snr_db", out)
         assert not out.exists()
 
     def test_unknown_axis(self, tmp_path):

@@ -99,6 +99,14 @@ class TestPipeline:
                      "--instance", str(instance_file),
                      "--config", cfg, "--out", str(tmp_path / "f.bin")]) == 2
 
+    def test_subsolver_is_runtime_error(self, tmp_path, instance_file):
+        cfg = write_json(tmp_path / "algo.json",
+                         {"subsolver": {"max_inner_iterations": 3}})
+        assert main(["run", "--algorithm", "als",
+                     "--instance", str(instance_file),
+                     "--config", cfg, "--out", str(tmp_path / "f.bin")]) == 2
+        assert not (tmp_path / "f.bin").exists()
+
     def test_oracle_run_uses_reference_mixing(self, tmp_path, instance_file):
         factors = tmp_path / "oracle.bin"
         assert main(["run", "--algorithm", "oracle",
@@ -133,6 +141,18 @@ class TestPipeline:
             "algorithms": [{"algorithm_id": "als", "rank": 2,
                             "outer_iterations": 10}],
             "trials_per_cel": 1,
+        })
+        out_dir = tmp_path / "results"
+        assert main(["bench", "--config", campaign,
+                     "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    def test_bench_subsolver_is_runtime_error(self, tmp_path):
+        campaign = write_json(tmp_path / "campaign.json", {
+            "grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
+            "algorithms": [{"algorithm_id": "ngmca_s", "rank": 2,
+                            "subsolver": {"rel_tol": 1e-2}}],
+            "trials_per_cell": 1,
         })
         out_dir = tmp_path / "results"
         assert main(["bench", "--config", campaign,

@@ -69,10 +69,14 @@ class TestGenFactor:
 class TestAddNoiseSnr:
     def test_round_trip(self, gen):
         x = gen.random((30, 30)) + 0.1
-        for snr in (0.0, 7.5, 20.0):
+        for snr in (0.0, 7.5, 20.0, math.inf):
             y, z = add_noise_snr(x, snr, stream(0, "z"))
             np.testing.assert_allclose(y, x + z)
-            assert measure_snr(y, x) == pytest.approx(snr, abs=1e-6)
+            if snr == math.inf:
+                assert not z.any()
+                np.testing.assert_array_equal(y, x)
+            else:
+                assert measure_snr(y, x) == pytest.approx(snr, abs=1e-6)
 
     def test_zero_db_equal_power(self, gen):
         x = gen.random((20, 20)) + 0.1

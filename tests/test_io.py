@@ -6,8 +6,7 @@ import pytest
 
 from ngmca.algorithms import AlgorithmConfig
 from ngmca.datagen import NOISELESS, InstanceSpec, gen_instance
-from ngmca.io import (algorithm_config_from_dict, instance_spec_from_dict,
-                      read_container, read_factors, read_instance,
+from ngmca.io import (read_container, read_factors, read_instance,
                       write_container, write_factors, write_instance)
 
 
@@ -75,33 +74,33 @@ class TestInstanceIo:
 
 
 class TestConfigParsing:
+    # JSON configs are passed to the dataclass constructors as keywords
     def test_instance_spec_fields(self):
-        spec = instance_spec_from_dict(
-            {"m": 30, "n": 40, "r": 4, "p_S": 0.2, "snr_db": 15.0,
-             "seed": 11})
+        spec = InstanceSpec(**{"m": 30, "n": 40, "r": 4, "p_S": 0.2,
+                               "snr_db": 15.0, "seed": 11})
         assert spec == InstanceSpec(m=30, n=40, r=4, p_S=0.2, snr_db=15.0,
                                     seed=11)
 
     def test_noiseless_string(self):
-        spec = instance_spec_from_dict({"snr_db": "noiseless"})
+        spec = InstanceSpec(**{"snr_db": "noiseless"})
         assert spec.is_noiseless()
 
     def test_algorithm_config_nested_subsolver(self):
-        cfg = algorithm_config_from_dict(
-            {"algorithm_id": "ngmca_s", "rank": 4, "tau_final": 2.0,
-             "subsolver": {"max_inner_iterations": 40}})
-        assert isinstance(cfg, AlgorithmConfig)
-        assert cfg.subsolver.max_inner_iterations == 40
-        assert cfg.tau_final == 2.0
+        # the inner-solver tolerances are fixed per phase, not settable
+        with pytest.raises(TypeError, match="subsolver"):
+            AlgorithmConfig(**{"algorithm_id": "ngmca_s", "rank": 4,
+                               "tau_final": 2.0,
+                               "subsolver": {"max_inner_iterations": 40}})
+        cfg = AlgorithmConfig(**{"algorithm_id": "ngmca_s", "rank": 4,
+                                 "tau_final": 2.0})
+        assert (cfg.rank, cfg.tau_final) == (4, 2.0)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError):
-            algorithm_config_from_dict({"algorithm_id": "als",
-                                        "learning_rate": 0.1})
+            AlgorithmConfig(**{"algorithm_id": "als", "learning_rate": 0.1})
 
     def test_thresholding_mode_rejected(self):
         # the algorithm id alone picks the threshold
         with pytest.raises(TypeError):
-            algorithm_config_from_dict(
-                {"algorithm_id": "ngmca_s",
-                 "subsolver": {"thresholding_mode": "hard"}})
+            AlgorithmConfig(**{"algorithm_id": "ngmca_s",
+                               "subsolver": {"thresholding_mode": "hard"}})
