@@ -16,8 +16,7 @@ from .datagen import (InstanceSpec, PeakList, ProblemInstance, add_noise_snr,
                       gen_nmr_sources, load_peak_corpus,
                       sample_generalized_gaussian)
 from .metrics import (BssDecomposition, PairingResult, condition_number,
-                      decompose_bss, hoyer_sparseness, measure_snr,
-                      pair_sources, sdr)
+                      decompose_bss, pair_sources, sdr)
 from .subsolvers import SubsolverOptions, fista_update_A, fista_update_S
 
 __all__ = [
@@ -26,7 +25,7 @@ __all__ = [
     "SubsolverOptions", "add_noise_snr", "als", "condition_number",
     "decompose_bss", "fista_update_A", "fista_update_S", "gen_factor",
     "gen_instance", "gen_nmr_instance", "gen_nmr_sources", "hals_sparse",
-    "hoyer_sparseness", "initialize", "load_peak_corpus", "measure_snr",
-    "multiplicative_update", "ngmca", "ngmca_naive", "oracle_solve",
-    "pair_sources", "run_algorithm", "sample_generalized_gaussian", "sdr",
+    "initialize", "load_peak_corpus", "multiplicative_update", "ngmca",
+    "ngmca_naive", "oracle_solve", "pair_sources", "run_algorithm",
+    "sample_generalized_gaussian", "sdr",
 ]

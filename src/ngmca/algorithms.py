@@ -73,6 +73,10 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm_id!r}")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.outer_iterations is not None and self.outer_iterations < 1:
+            raise ValueError("outer_iterations must be >= 1 (or None)")
+        if self.tau_final < 0.0:
+            raise ValueError("tau_final must be >= 0")
         if not 0.0 <= self.sparsity_target <= 1.0:
             raise ValueError("sparsity_target must be in [0, 1]")
 

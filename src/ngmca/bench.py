@@ -49,6 +49,14 @@ class BenchmarkConfig:
     base_seed: int = 0
     output_dir: str = "results"
 
+    def __post_init__(self):
+        # an algorithm's seed is derived from its id, so two configs that
+        # share one would get the same seeds and indistinguishable rows
+        ids = [a.algorithm_id for a in self.algorithms]
+        for algo_id in ids:
+            if ids.count(algo_id) > 1:
+                raise ValueError(f"algorithm_id {algo_id!r} is listed twice")
+
     def cells(self) -> list[dict]:
         keys = sorted(self.grid)
         return [dict(zip(keys, combo))

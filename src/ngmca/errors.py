@@ -5,10 +5,6 @@ class NgmcaError(Exception):
     """Base class for all package errors."""
 
 
-class RankDeficientError(NgmcaError):
-    """Least-squares system is too ill-conditioned and fallback is disabled."""
-
-
 class NonConvergenceError(NgmcaError):
     """An iterative routine exceeded its iteration cap without converging."""
 
@@ -21,10 +17,6 @@ class NonFiniteError(NgmcaError):
     """Iterates contain NaN/Inf, usually a misconfigured step size."""
 
 
-class EmptyInputError(NgmcaError):
-    """An operation received an empty vector."""
-
-
 class ZeroSignalError(NgmcaError):
     """Cannot scale noise against an all-zero signal."""
 
@@ -35,10 +27,6 @@ class PeakOutOfRangeError(NgmcaError):
 
 class DegenerateSpanError(NgmcaError):
     """Reference sources are rank-deficient; projections are ill-defined."""
-
-
-class ZeroVectorError(NgmcaError):
-    """Operation undefined on the zero vector."""
 
 
 class SingularMatrixError(NgmcaError):

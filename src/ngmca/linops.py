@@ -5,10 +5,10 @@ All functions are pure and operate on float64 numpy arrays.
 
 import numpy as np
 
-from .errors import NonConvergenceError, RankDeficientError
+from .errors import NonConvergenceError
 
 #: conditioning cap beyond which the normal equations are considered rank
-#: deficient and the ridge fallback (or an error) kicks in
+#: deficient and the ridge fallback kicks in
 COND_CAP = 1e12
 
 #: smallest positive normal double
@@ -36,8 +36,7 @@ def _gram_condition(gram: np.ndarray) -> float:
     return lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray,
-                allow_fallback: bool) -> np.ndarray:
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram @ X = rhs, with a ridge-stabilized fallback.
 
     The ridge is 1e-12 * trace(gram) / r, enough to make momentarily
@@ -46,10 +45,6 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray,
     r = gram.shape[0]
     cond = _gram_condition(gram)
     if not np.isfinite(cond) or cond > COND_CAP:
-        if not allow_fallback:
-            raise RankDeficientError(
-                f"normal equations conditioning {cond:.3e} exceeds cap {COND_CAP:.3e}"
-            )
         ridge = 1e-12 * np.trace(gram) / r
         if ridge <= 0.0:
             ridge = TINY
@@ -60,16 +55,14 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray,
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
-def least_squares_solve_S(a: np.ndarray, y: np.ndarray,
-                          allow_fallback: bool = True) -> np.ndarray:
+def least_squares_solve_S(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unconstrained argmin_S ||Y - A S||_2^2 via the normal equations."""
-    return _solve_gram(a.T @ a, a.T @ y, allow_fallback)
+    return _solve_gram(a.T @ a, a.T @ y)
 
 
-def least_squares_solve_A(s: np.ndarray, y: np.ndarray,
-                          allow_fallback: bool = True) -> np.ndarray:
+def least_squares_solve_A(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unconstrained argmin_A ||Y - A S||_2^2 (no projection)."""
-    return _solve_gram(s @ s.T, s @ y.T, allow_fallback).T
+    return _solve_gram(s @ s.T, s @ y.T).T
 
 
 def normalize_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

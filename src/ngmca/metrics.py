@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DegenerateSpanError, SingularMatrixError, ZeroVectorError
+from .errors import DegenerateSpanError, SingularMatrixError
 
 #: cap applied to SDR values in persisted records (raw +-inf kept in memory)
 SDR_CAP_DB = 300.0
@@ -129,31 +129,9 @@ def pair_sources(s_est: np.ndarray, s_ref: np.ndarray,
                          mean_sdr_db=mean)
 
 
-def hoyer_sparseness(x: np.ndarray) -> float:
-    """(sqrt(n) - ||x||_1/||x||_2) / (sqrt(n) - 1), in [0, 1]."""
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    if n < 2:
-        raise ValueError("needs at least 2 entries")
-    l2 = np.linalg.norm(x)
-    if l2 == 0.0:
-        raise ZeroVectorError("sparseness of the zero vector is undefined")
-    sqrt_n = math.sqrt(n)
-    return (sqrt_n - np.abs(x).sum() / l2) / (sqrt_n - 1.0)
-
-
 def condition_number(a: np.ndarray) -> float:
     """Ratio of largest to smallest singular value."""
     svals = np.linalg.svd(a, compute_uv=False)
     if svals[-1] <= svals[0] * max(a.shape) * np.finfo(float).eps:
         raise SingularMatrixError("matrix is not full column rank")
     return float(svals[0] / svals[-1])
-
-
-def measure_snr(y: np.ndarray, x_clean: np.ndarray) -> float:
-    """SNR of y against the clean signal x_clean, in dB."""
-    noise_energy = float(np.sum((y - x_clean) ** 2))
-    if noise_energy == 0.0:
-        return math.inf
-    signal_energy = float(np.sum(x_clean ** 2))
-    return 10.0 * math.log10(signal_energy / noise_energy)

@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from .errors import EmptyInputError
-
 #: Gaussian-consistency factor: median(|N(0,1)|) = 0.6745...
 MAD_TO_SIGMA = 0.6744897501960817
 
@@ -37,17 +35,8 @@ def prox_nonneg_l1(x, lam):
     return np.maximum(x - lam, 0.0)
 
 
-def mad_sigma(v: np.ndarray) -> float:
-    """Robust noise-scale estimate: scaled median absolute deviation."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise EmptyInputError("mad_sigma of an empty vector")
-    med = np.median(v)
-    return float(np.median(np.abs(v - med))) / MAD_TO_SIGMA
-
-
 def mad_sigma_rows(m: np.ndarray) -> np.ndarray:
-    """mad_sigma applied to each row of a matrix."""
+    """Robust noise scale of each row: its scaled median absolute deviation."""
     med = np.median(m, axis=1, keepdims=True)
     return np.median(np.abs(m - med), axis=1) / MAD_TO_SIGMA
 
@@ -56,14 +45,14 @@ def naive_threshold_select(s_all: np.ndarray, k: int, total: int,
                            tau_final: float) -> np.ndarray:
     """Per-row thresholds growing the active set roughly linearly with k.
 
-    For row i, candidates are the entries above the noise floor
-    tau_final * mad_sigma(row). At step k the threshold is the magnitude of
+    For row i, candidates are the entries above the noise floor, tau_final
+    times the row's MAD scale. At step k the threshold is the magnitude of
     the ceil((k/total) * n_cand)-th largest candidate, and exactly the floor
     at k = total so the endgame keeps every candidate.
     """
+    floors = tau_final * mad_sigma_rows(s_all)
     lam = np.empty(s_all.shape[0])
-    for i, row in enumerate(s_all):
-        floor = tau_final * mad_sigma(row)
+    for i, (row, floor) in enumerate(zip(s_all, floors)):
         mags = np.abs(row)
         cand = np.sort(mags[mags > floor])[::-1]
         if cand.size == 0:

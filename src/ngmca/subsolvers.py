@@ -76,7 +76,6 @@ def _fista(gram, b, x, prox, lipschitz, iterations, tol, what, slope=None):
 
 def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
                    opts: SubsolverOptions | None = None,
-                   lipschitz: float | None = None,
                    hard: bool = False) -> np.ndarray:
     """Accelerated forward-backward solve of the sparse S sub-problem.
 
@@ -84,9 +83,7 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
     the prox is the non-negative soft threshold and the result is the
     minimizer within opts.rel_tol; with hard=True the same iteration runs
     with the hard threshold instead (no optimality guarantee, no restart,
-    stops at a fixed point or the cap). An explicit lipschitz overrides the
-    computed gradient constant; an underestimate voids the convergence
-    guarantee.
+    stops at a fixed point or the cap).
     """
     opts = opts or SubsolverOptions()
     m, n = y.shape
@@ -97,8 +94,7 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (r,)).reshape(r, 1)
 
     gram = a.T @ a
-    if lipschitz is None:
-        lipschitz = lipschitz_constant(gram)
+    lipschitz = lipschitz_constant(gram)
     if lipschitz == 0.0:
         return np.zeros_like(s0)
     lam_step = lam / lipschitz

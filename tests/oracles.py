@@ -1,10 +1,12 @@
 """Independent reference solvers used only to check the real implementations.
 
-Everything here is deliberately brute-force: support enumeration, dense grid
-scans, and factorial assignment search. Slow but unarguable.
+Everything here is deliberately brute-force or a direct formula: support
+enumeration, dense grid scans, factorial assignment search, a one-vector
+MAD and the SNR definition. Slow but unarguable.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -85,3 +87,17 @@ def best_assignment(sdr_matrix: np.ndarray) -> tuple[tuple, float]:
 
 def objective(y: np.ndarray, a: np.ndarray, s: np.ndarray) -> float:
     return 0.5 * float(np.sum((y - a @ s) ** 2))
+
+
+def mad_sigma(v: np.ndarray) -> float:
+    """Scaled median absolute deviation of one vector, MAD / 0.6745."""
+    return float(np.median(np.abs(v - np.median(v)))) / 0.6744897501960817
+
+
+def measure_snr(y: np.ndarray, x_clean: np.ndarray) -> float:
+    """SNR of y against the clean signal x_clean, in dB."""
+    noise_energy = float(np.sum((y - x_clean) ** 2))
+    if noise_energy == 0.0:
+        return math.inf
+    signal_energy = float(np.sum(x_clean ** 2))
+    return 10.0 * math.log10(signal_energy / noise_energy)

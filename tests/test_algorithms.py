@@ -352,6 +352,20 @@ class TestSharedInvariants:
         with pytest.raises(ValueError):
             AlgorithmConfig("newton", rank=2, seed=0)
 
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_non_positive_iterations_rejected(self, iterations):
+        for algo in ALGORITHM_IDS:
+            with pytest.raises(ValueError, match="outer_iterations"):
+                AlgorithmConfig(algo, rank=2, outer_iterations=iterations)
+
+    def test_negative_tau_final_rejected(self):
+        with pytest.raises(ValueError, match="tau_final"):
+            AlgorithmConfig("ngmca_s", rank=2, tau_final=-1.0)
+        # no noise floor (criterion 9) and the per-algorithm default stay valid
+        cfg = AlgorithmConfig("ngmca_s", rank=2, tau_final=0.0,
+                              outer_iterations=None)
+        assert cfg.resolved_iterations() == DEFAULT_ITERATIONS["ngmca_s"]
+
 
 class TestSourceReviver:
     def test_revives_fully_dead_source(self):

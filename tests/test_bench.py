@@ -28,6 +28,17 @@ def tiny_config(output_dir="results", trials=2):
 
 
 class TestRunCampaign:
+    def test_duplicate_algorithm_id_rejected(self):
+        # derived seeds hash the algorithm id: two configs sharing one would
+        # get the same seeds and be merged by summarize
+        with pytest.raises(ValueError, match="'mu'"):
+            BenchmarkConfig(
+                grid={"m": [20], "n": [20], "r": [2]},
+                algorithms=[AlgorithmConfig("mu", rank=2, outer_iterations=10),
+                            AlgorithmConfig("als", rank=2),
+                            AlgorithmConfig("mu", rank=2,
+                                            outer_iterations=2000)])
+
     def test_record_count_and_distinct_seeds(self):
         records = run_campaign(tiny_config())
         assert len(records) == 4  # 1 cell x 2 algorithms x 2 trials

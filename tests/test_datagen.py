@@ -8,8 +8,8 @@ from ngmca.datagen import (InstanceSpec, PeakList, add_noise_snr, gen_factor,
                            gg_scale, load_peak_corpus, load_peak_list,
                            sample_generalized_gaussian)
 from ngmca.errors import PeakOutOfRangeError, ZeroSignalError
-from ngmca.metrics import measure_snr
 from ngmca.rng import stream
+from oracles import measure_snr
 
 
 def excess_kurtosis(x):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from ngmca.errors import (DegenerateSpanError, SingularMatrixError,
-                          ZeroVectorError)
+from ngmca.errors import DegenerateSpanError, SingularMatrixError
 from ngmca.metrics import (SDR_CAP_DB, cap_sdr, condition_number,
-                           decompose_bss, hoyer_sparseness, measure_snr,
-                           pair_sources, sdr)
-from oracles import best_assignment
+                           decompose_bss, pair_sources, sdr)
+from oracles import best_assignment, measure_snr
 
 
 def gram_projection(basis, v):
@@ -151,33 +149,6 @@ class TestPairSources:
         est = gen.standard_normal((5, 30))
         res = pair_sources(est, refs, np.zeros((0, 30)))
         assert sorted(res.permutation) == list(range(5))
-
-
-class TestHoyerSparseness:
-    def test_one_hot(self):
-        assert hoyer_sparseness(np.array([0.0, 3.0, 0.0, 0.0])) \
-            == pytest.approx(1.0)
-
-    def test_constant(self):
-        assert hoyer_sparseness(np.ones(6)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_value(self):
-        assert hoyer_sparseness(np.array([1.0, 1.0, 0.0, 0.0])) \
-            == pytest.approx(2 - np.sqrt(2), rel=1e-12)
-
-    def test_scale_invariance(self, gen):
-        x = gen.random(9) + 0.1
-        assert hoyer_sparseness(-4.2 * x) == pytest.approx(
-            hoyer_sparseness(x), rel=1e-12)
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVectorError):
-            hoyer_sparseness(np.zeros(5))
-
-    def test_range(self, gen):
-        for _ in range(20):
-            v = gen.standard_normal(12)
-            assert 0.0 <= hoyer_sparseness(v) <= 1.0
 
 
 class TestConditionAndSnr:
