@@ -15,7 +15,7 @@ import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,6 @@ TIMINGS_CSV = "timings.csv"
 SUMMARY_CSV = "summary.csv"
 MANIFEST_JSON = "manifest.json"
 
-_FIXED_COLUMNS = ["algorithm_id", "trial", "seed", "mean_sdr_db",
-                  "per_source_sdr_db", "final_objective", "iterations_run",
-                  "cond_a_ref", "error"]
-
 #: the statistics columns of summary.csv; a grid axis of the same name
 #: (the instance's column count n) is written as grid_<name>
 SUMMARY_COLUMNS = ["algorithm_id", "n", "n_errors", "mean", "median", "sem"]
@@ -44,12 +40,21 @@ SUMMARY_COLUMNS = ["algorithm_id", "n", "n_errors", "mean", "median", "sem"]
 @dataclass
 class BenchmarkConfig:
     grid: dict                      # InstanceSpec field -> list of values
-    algorithms: list[AlgorithmConfig] = field(default_factory=list)
+    algorithms: list[AlgorithmConfig]
     trials_per_cell: int = 24
     base_seed: int = 0
     output_dir: str = "results"
 
     def __post_init__(self):
+        if not self.algorithms:
+            raise ValueError("algorithms: a campaign needs at least one")
+        if not isinstance(self.trials_per_cell, int) or self.trials_per_cell < 1:
+            raise ValueError(f"trials_per_cell must be an integer >= 1, "
+                             f"got {self.trials_per_cell!r}")
+        for axis, values in self.grid.items():
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"grid axis {axis!r} must be a non-empty "
+                                 f"list, got {values!r}")
         # an algorithm's seed is derived from its id, so two configs that
         # share one would get the same seeds and indistinguishable rows
         ids = [a.algorithm_id for a in self.algorithms]
@@ -76,6 +81,12 @@ class TrialRecord:
     iterations_run: int | None = None
     cond_a_ref: float | None = None
     error: str | None = None
+
+
+#: the results.csv columns after the grid axes: the cell is spread over the
+#: grid columns, and the wall time goes to timings.csv only
+RESULT_COLUMNS = [f.name for f in fields(TrialRecord)
+                  if f.name not in ("cell", "wall_time_seconds")]
 
 
 def _cell_key(cell: dict) -> tuple:
@@ -120,13 +131,7 @@ def run_trial(cfg: BenchmarkConfig, cell: dict, trial: int) -> list[TrialRecord]
     except Exception as exc:  # noqa: BLE001 - error rows keep the campaign alive
         return [TrialRecord(cell=cell, algorithm_id=a.algorithm_id, trial=trial,
                             seed=spec.seed, error=f"instance: {exc}")
-                for a in cfg.algorithms] or [
-            TrialRecord(cell=cell, algorithm_id="", trial=trial,
-                        seed=spec.seed, error=f"instance: {exc}")]
-    if not cfg.algorithms:
-        # metrology-only campaign (e.g. conditioning sweeps)
-        return [TrialRecord(cell=cell, algorithm_id="", trial=trial,
-                            seed=spec.seed, cond_a_ref=cond)]
+                for a in cfg.algorithms]
     records = []
     for algo in cfg.algorithms:
         algo_seed = derive_seed(cfg.base_seed, _cell_key(cell), trial,
@@ -166,7 +171,7 @@ def run_campaign(cfg: BenchmarkConfig, workers: int = 1) -> list[TrialRecord]:
     algo_order = {a.algorithm_id: i for i, a in enumerate(cfg.algorithms)}
     records = [rec for batch in batches for rec in batch]
     records.sort(key=lambda r: (_cell_order(_cell_key(r.cell)),
-                                algo_order.get(r.algorithm_id, -1), r.trial))
+                                algo_order[r.algorithm_id], r.trial))
     return records
 
 
@@ -175,50 +180,39 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ";".join(repr(float(v)) for v in value)
     return str(value)
 
 
-def _grid_columns(records: list[TrialRecord]) -> list[str]:
-    keys = set()
-    for rec in records:
-        keys.update(rec.cell)
-    return sorted(keys)
+def _csv(header: list[str], rows) -> str:
+    out = _io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def _records_csv(records: list[TrialRecord], columns: list[str]) -> str:
+    grid_cols = sorted({k for rec in records for k in rec.cell})
+    return _csv(grid_cols + columns,
+                ([rec.cell.get(k) for k in grid_cols]
+                 + [getattr(rec, c) for c in columns] for rec in records))
 
 
 def records_to_csv(records: list[TrialRecord]) -> str:
     """Deterministic results CSV (wall time deliberately excluded)."""
-    grid_cols = _grid_columns(records)
-    out = _io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(grid_cols + _FIXED_COLUMNS)
-    for rec in records:
-        per_source = ("" if rec.per_source_sdr_db is None
-                      else ";".join(repr(float(v)) for v in rec.per_source_sdr_db))
-        writer.writerow([_fmt(rec.cell.get(k)) for k in grid_cols]
-                        + [rec.algorithm_id, rec.trial, rec.seed,
-                           _fmt(rec.mean_sdr_db), per_source,
-                           _fmt(rec.final_objective), _fmt(rec.iterations_run),
-                           _fmt(rec.cond_a_ref), rec.error or ""])
-    return out.getvalue()
+    return _records_csv(records, RESULT_COLUMNS)
 
 
 def timings_to_csv(records: list[TrialRecord]) -> str:
-    grid_cols = _grid_columns(records)
-    out = _io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(grid_cols + ["algorithm_id", "trial", "wall_time_seconds"])
-    for rec in records:
-        writer.writerow([_fmt(rec.cell.get(k)) for k in grid_cols]
-                        + [rec.algorithm_id, rec.trial,
-                           _fmt(rec.wall_time_seconds)])
-    return out.getvalue()
+    return _records_csv(records, ["algorithm_id", "trial", "wall_time_seconds"])
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:
-    """Per (cell, algorithm) mean/median/SEM of the trial values.
+    """Per (cell, algorithm) mean/median/SEM of mean_sdr_db.
 
-    The aggregated value is mean_sdr_db, or cond_a_ref for metrology-only
-    campaigns without algorithms. Error rows are excluded and counted.
+    Error rows are excluded and counted.
     """
     if not records:
         raise ValueError("no records to summarize")
@@ -228,15 +222,12 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
     rows = []
     for (cell_key, algo_id), recs in sorted(
             groups.items(), key=lambda g: (_cell_order(g[0][0]), g[0][1])):
-        ok = [r for r in recs if r.error is None]
-        values = [r.mean_sdr_db if r.mean_sdr_db is not None else r.cond_a_ref
-                  for r in ok]
-        values = [v for v in values if v is not None]
+        values = [r.mean_sdr_db for r in recs if r.error is None]
         row = {f"grid_{k}" if k in SUMMARY_COLUMNS else k: v
                for k, v in cell_key}
         row["algorithm_id"] = algo_id
         row["n"] = len(values)
-        row["n_errors"] = len(recs) - len(ok)
+        row["n_errors"] = len(recs) - len(values)
         if values:
             arr = np.asarray(values, dtype=float)
             row["mean"] = float(arr.mean())
@@ -250,13 +241,9 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
 
 
 def summary_to_csv(rows: list[dict]) -> str:
-    grid_cols = sorted(k for k in rows[0] if k not in SUMMARY_COLUMNS)
-    out = _io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(grid_cols + SUMMARY_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row.get(k)) for k in grid_cols + SUMMARY_COLUMNS])
-    return out.getvalue()
+    columns = (sorted(k for k in rows[0] if k not in SUMMARY_COLUMNS)
+               + SUMMARY_COLUMNS)
+    return _csv(columns, ([row.get(k) for k in columns] for row in rows))
 
 
 def summary_from_csv(text: str) -> list[dict]:
@@ -305,6 +292,10 @@ def emit_plot(summary_rows: list[dict], x_axis: str, out: Path) -> None:
     """
     if not summary_rows:
         raise UnknownAxisError("empty summary")
+    if x_axis in SUMMARY_COLUMNS:
+        grid = f"grid_{x_axis}"
+        hint = f"; the grid axis is {grid!r}" if grid in summary_rows[0] else ""
+        raise UnknownAxisError(f"{x_axis!r} is a statistics column{hint}")
     if x_axis not in summary_rows[0]:
         raise UnknownAxisError(f"{x_axis!r} is not a summary column")
 
@@ -392,11 +383,6 @@ def emit_plot(summary_rows: list[dict], x_axis: str, out: Path) -> None:
 
     out = Path(out)
     out.write_text("\n".join(parts))
-    sidecar = out.with_suffix(".csv")
-    sio = _io.StringIO()
-    writer = csv.writer(sio, lineterminator="\n")
-    writer.writerow(["algorithm_id", x_axis, "mean", "sem"])
-    for algo, pts in sorted(points.items()):
-        for x, m, sem in pts:
-            writer.writerow([algo, repr(x), repr(m), repr(sem)])
-    sidecar.write_text(sio.getvalue())
+    out.with_suffix(".csv").write_text(_csv(
+        ["algorithm_id", x_axis, "mean", "sem"],
+        ([algo, *pt] for algo, pts in sorted(points.items()) for pt in pts)))

@@ -49,8 +49,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run a Monte-Carlo campaign")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="restore full-scale sizes (m=n=200, 48 trials)")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("plot", help="plot a summary CSV")
@@ -88,9 +86,6 @@ def _cmd_bench(args) -> None:
     raw["algorithms"] = [AlgorithmConfig(**a) for a in raw.get("algorithms", [])]
     raw["output_dir"] = str(args.out)
     cfg = bench_mod.BenchmarkConfig(**raw)
-    if args.paper_scale:
-        cfg.trials_per_cell = 48
-        cfg.grid = dict(cfg.grid, m=[200], n=[200])
     records = bench_mod.run_campaign(cfg, workers=args.workers)
     bench_mod.write_campaign_outputs(cfg, records, Path(args.out))
 

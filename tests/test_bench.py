@@ -9,7 +9,8 @@ from ngmca import bench
 from ngmca.algorithms import AlgorithmConfig
 from ngmca.bench import (BenchmarkConfig, emit_plot, records_to_csv,
                          run_campaign, run_trial, summarize, summary_from_csv,
-                         summary_to_csv, write_campaign_outputs)
+                         summary_to_csv, timings_to_csv,
+                         write_campaign_outputs)
 from ngmca.errors import UnknownAxisError
 from ngmca.bench import TrialRecord
 
@@ -39,6 +40,28 @@ class TestRunCampaign:
                             AlgorithmConfig("mu", rank=2,
                                             outer_iterations=2000)])
 
+    @pytest.mark.parametrize("change, field", [
+        ({"trials_per_cell": 0}, "trials_per_cell"),
+        ({"trials_per_cell": -3}, "trials_per_cell"),
+        ({"trials_per_cell": "2"}, "trials_per_cell"),
+        ({"grid": {"m": [20], "n": [20], "r": [2], "snr_db": []}}, "snr_db"),
+        ({"grid": {"m": [20], "n": [20], "r": [2], "snr_db": "noiseless"}},
+         "snr_db"),
+        ({"grid": {"m": [20], "n": [20], "r": 2}}, "'r'"),
+    ], ids=["zero_trials", "negative_trials", "string_trials", "empty_axis",
+            "string_axis", "scalar_axis"])
+    def test_empty_or_ill_typed_campaign_rejected(self, change, field):
+        # a campaign that cannot run must fail before it writes anything
+        kwargs = {"grid": {"m": [20], "n": [20], "r": [2]},
+                  "algorithms": [AlgorithmConfig("als", rank=2)], **change}
+        with pytest.raises(ValueError, match=field):
+            BenchmarkConfig(**kwargs)
+
+    def test_campaign_without_algorithms_rejected(self):
+        with pytest.raises(ValueError, match="algorithms"):
+            BenchmarkConfig(grid={"m": [30], "n": [5], "r": [5]},
+                            algorithms=[], trials_per_cell=3)
+
     def test_record_count_and_distinct_seeds(self):
         records = run_campaign(tiny_config())
         assert len(records) == 4  # 1 cell x 2 algorithms x 2 trials
@@ -64,15 +87,6 @@ class TestRunCampaign:
         for a, b in zip(alone, matching):
             assert a.seed == b.seed
             assert a.mean_sdr_db == b.mean_sdr_db
-
-    def test_metrology_only_campaign(self):
-        cfg = BenchmarkConfig(grid={"m": [30], "n": [5], "r": [5],
-                                    "alpha_A": [2.0]},
-                              algorithms=[], trials_per_cell=3, base_seed=1)
-        records = run_campaign(cfg)
-        assert len(records) == 3
-        assert all(r.cond_a_ref is not None and r.cond_a_ref >= 1.0
-                   for r in records)
 
     def test_mixed_snr_axis(self, tmp_path):
         # numbers and "noiseless" on one axis: numbers first, in order
@@ -120,6 +134,21 @@ class TestCsv:
         header = records_to_csv(records).splitlines()[0]
         assert "wall_time" not in header
         assert "mean_sdr_db" in header
+
+    def test_results_and_timings_headers(self):
+        # the columns are derived from TrialRecord: reordering its fields
+        # must not silently reorder the CSV files
+        cfg = BenchmarkConfig(grid={"m": [20], "n": [20], "r": [2],
+                                    "snr_db": [20.0]},
+                              algorithms=[AlgorithmConfig("als", rank=2,
+                                                          outer_iterations=5)],
+                              trials_per_cell=1)
+        records = run_campaign(cfg)
+        assert records_to_csv(records).splitlines()[0] == (
+            "m,n,r,snr_db,algorithm_id,trial,seed,mean_sdr_db,"
+            "per_source_sdr_db,final_objective,iterations_run,cond_a_ref,error")
+        assert timings_to_csv(records).splitlines()[0] == (
+            "m,n,r,snr_db,algorithm_id,trial,wall_time_seconds")
 
     def test_summary_round_trip(self):
         rows = summarize(run_campaign(tiny_config()))
@@ -249,6 +278,16 @@ class TestOutputsAndPlot:
         out = tmp_path / "fig.svg"
         with pytest.raises(UnknownAxisError, match="not numeric"):
             emit_plot(rows, "snr_db", out)
+        assert not out.exists()
+
+    def test_statistics_column_is_not_an_axis(self, tmp_path):
+        # the trial count n must not be plotted as the instance's n, which
+        # summary.csv writes as grid_n
+        rows = summary_from_csv(summary_to_csv(
+            [dict(r, n=48, grid_n=200) for r in self.summary_rows()]))
+        out = tmp_path / "fig.svg"
+        with pytest.raises(UnknownAxisError, match="grid_n"):
+            emit_plot(rows, "n", out)
         assert not out.exists()
 
     def test_unknown_axis(self, tmp_path):

@@ -159,6 +159,26 @@ class TestPipeline:
                      "--out", str(out_dir)]) == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("change", [
+        {"trials_per_cell": 0},
+        {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": []}},
+        {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": "noiseless"}},
+        {"grid": {"m": [15], "n": [15], "r": 2, "snr_db": [10.0]}},
+        {"algorithms": []},
+    ], ids=["zero_trials", "empty_axis", "string_axis", "scalar_axis",
+            "no_algorithm"])
+    def test_bench_empty_campaign_is_runtime_error(self, tmp_path, change):
+        campaign = write_json(tmp_path / "campaign.json", {
+            "grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
+            "algorithms": [{"algorithm_id": "als", "rank": 2,
+                            "outer_iterations": 10}],
+            "trials_per_cell": 1, **change,
+        })
+        out_dir = tmp_path / "results"
+        assert main(["bench", "--config", campaign,
+                     "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_plot_unknown_axis_is_runtime_error(self, tmp_path):
         campaign = write_json(tmp_path / "campaign.json", {
             "grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
