@@ -46,7 +46,7 @@ REINIT_BUDGET = 3
 #: inner-solver tolerances, one set per phase: the scheduled alternations
 #: of ngmca, the polish (and stability_move), and the oracle's one-shot
 #: solve, whose generous budget makes it tight
-SCHEDULE_OPTIONS = SubsolverOptions()
+SCHEDULE_OPTIONS = SubsolverOptions(max_inner_iterations=80, rel_tol=1e-6)
 POLISH_OPTIONS = SubsolverOptions(max_inner_iterations=400, rel_tol=1e-8)
 ORACLE_OPTIONS = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-10)
 

@@ -24,7 +24,7 @@ from . import __version__
 from .algorithms import AlgorithmConfig, run_algorithm
 from .datagen import InstanceSpec, ProblemInstance, gen_instance
 from .errors import UnknownAxisError
-from .metrics import cap_sdr, condition_number, pair_sources
+from .metrics import SDR_CAP_DB, condition_number, pair_sources
 from .rng import derive_seed
 
 RESULTS_CSV = "results.csv"
@@ -40,17 +40,25 @@ SUMMARY_COLUMNS = ["algorithm_id", "n", "n_errors", "mean", "median", "sem"]
 @dataclass
 class BenchmarkConfig:
     grid: dict                      # InstanceSpec field -> list of values
-    algorithms: list[AlgorithmConfig]
+    algorithms: list[AlgorithmConfig]  # or their dicts, as in a JSON config
     trials_per_cell: int = 24
     base_seed: int = 0
     output_dir: str = "results"
 
     def __post_init__(self):
-        if not self.algorithms:
-            raise ValueError("algorithms: a campaign needs at least one")
-        if not isinstance(self.trials_per_cell, int) or self.trials_per_cell < 1:
+        algos = self.algorithms
+        if not (isinstance(algos, list) and algos and all(
+                isinstance(a, (dict, AlgorithmConfig)) for a in algos)):
+            raise ValueError(f"algorithms must be a non-empty list of "
+                             f"algorithm configs, got {algos!r}")
+        self.algorithms = [AlgorithmConfig(**a) if isinstance(a, dict) else a
+                           for a in algos]
+        # type(), not isinstance(): a bool is an int, but not a trial count
+        if type(self.trials_per_cell) is not int or self.trials_per_cell < 1:
             raise ValueError(f"trials_per_cell must be an integer >= 1, "
                              f"got {self.trials_per_cell!r}")
+        if not isinstance(self.grid, dict):
+            raise ValueError(f"grid must be a mapping of axes, got {self.grid!r}")
         for axis, values in self.grid.items():
             if not isinstance(values, list) or not values:
                 raise ValueError(f"grid axis {axis!r} must be a non-empty "
@@ -116,7 +124,8 @@ def score_pair(a: np.ndarray, s: np.ndarray, inst: ProblemInstance) -> dict:
     resid = inst.y - a @ s
     return {
         "permutation": pairing.permutation.tolist(),
-        "per_source_sdr_db": [cap_sdr(v) for v in pairing.per_source_sdr_db],
+        "per_source_sdr_db": np.clip(pairing.per_source_sdr_db, -SDR_CAP_DB,
+                                     SDR_CAP_DB).tolist(),
         "mean_sdr_db": pairing.mean_sdr_db,
         "final_objective": 0.5 * float(np.sum(resid * resid)),
     }
@@ -246,24 +255,6 @@ def summary_to_csv(rows: list[dict]) -> str:
     return _csv(columns, ([row.get(k) for k in columns] for row in rows))
 
 
-def summary_from_csv(text: str) -> list[dict]:
-    rows = []
-    for raw in csv.DictReader(_io.StringIO(text)):
-        row = {}
-        for key, val in raw.items():
-            if key in ("algorithm_id",):
-                row[key] = val
-            elif key in ("n", "n_errors"):
-                row[key] = int(val)
-            else:
-                try:
-                    row[key] = float(val)
-                except ValueError:
-                    row[key] = val
-        rows.append(row)
-    return rows
-
-
 def write_campaign_outputs(cfg: BenchmarkConfig, records: list[TrialRecord],
                            out_dir: Path) -> None:
     out_dir = Path(out_dir)
@@ -287,8 +278,9 @@ def emit_plot(summary_rows: list[dict], x_axis: str, out: Path) -> None:
     """Self-contained SVG line chart (one line per algorithm, SEM bars)
     plus a sidecar CSV of the plotted points.
 
-    Rows whose x value is not numeric (a "noiseless" SNR) are left out
-    with a warning that names the values.
+    The rows come from summarize() or from csv.DictReader on summary.csv.
+    Rows without a mean and rows whose x value is not numeric (a
+    "noiseless" SNR) are left out, the latter with a warning naming them.
     """
     if not summary_rows:
         raise UnknownAxisError("empty summary")
@@ -302,7 +294,7 @@ def emit_plot(summary_rows: list[dict], x_axis: str, out: Path) -> None:
     series: dict[str, dict[float, list[tuple[float, float]]]] = {}
     skipped = set()
     for row in summary_rows:
-        if row.get("mean") is None:
+        if row.get("mean") in (None, ""):  # a group of error rows only
             continue
         try:
             x = float(row[x_axis])

@@ -5,6 +5,7 @@ Subcommands: generate, run, eval, bench, plot. Exit codes: 0 success,
 """
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -83,15 +84,16 @@ def _cmd_eval(args) -> None:
 
 def _cmd_bench(args) -> None:
     raw = io_mod.load_json(args.config)
-    raw["algorithms"] = [AlgorithmConfig(**a) for a in raw.get("algorithms", [])]
-    raw["output_dir"] = str(args.out)
-    cfg = bench_mod.BenchmarkConfig(**raw)
+    if not isinstance(raw, dict):
+        raise ValueError("a campaign config must be a JSON object")
+    cfg = bench_mod.BenchmarkConfig(**{**raw, "output_dir": str(args.out)})
     records = bench_mod.run_campaign(cfg, workers=args.workers)
     bench_mod.write_campaign_outputs(cfg, records, Path(args.out))
 
 
 def _cmd_plot(args) -> None:
-    rows = bench_mod.summary_from_csv(Path(args.summary).read_text())
+    with open(args.summary, newline="") as f:
+        rows = list(csv.DictReader(f))
     bench_mod.emit_plot(rows, args.x, args.out)
 
 

@@ -123,18 +123,18 @@ def _redraw_dead(mat: np.ndarray, axis: int, p: float, alpha: float,
 
 def gen_instance(spec: InstanceSpec) -> ProblemInstance:
     """Full synthetic instance: factors, product, exact-SNR noise."""
-    gen_a = stream(spec.seed, "A")
     gen_s = stream(spec.seed, "S")
-    a_ref = gen_factor(spec.m, spec.r, spec.p_A, spec.alpha_A, gen_a)
-    _redraw_dead(a_ref, 0, spec.p_A, spec.alpha_A, gen_a, "mixing column")
     s_ref = gen_factor(spec.r, spec.n, spec.p_S, spec.alpha_S, gen_s)
     _redraw_dead(s_ref, 1, spec.p_S, spec.alpha_S, gen_s, "source row")
-    return _observe(a_ref, s_ref, spec)
+    return _observe(s_ref, spec)
 
 
-def _observe(a_ref: np.ndarray, s_ref: np.ndarray,
-             spec: InstanceSpec) -> ProblemInstance:
-    """Y = A_ref S_ref plus noise at exactly spec.snr_db (none if noiseless)."""
+def _observe(s_ref: np.ndarray, spec: InstanceSpec) -> ProblemInstance:
+    """Draw A_ref as spec says, then Y = A_ref S_ref plus noise at exactly
+    spec.snr_db (none if noiseless)."""
+    gen_a = stream(spec.seed, "A")
+    a_ref = gen_factor(spec.m, spec.r, spec.p_A, spec.alpha_A, gen_a)
+    _redraw_dead(a_ref, 0, spec.p_A, spec.alpha_A, gen_a, "mixing column")
     snr_db = math.inf if spec.is_noiseless() else float(spec.snr_db)
     y, z = add_noise_snr(a_ref @ s_ref, snr_db, stream(spec.seed, "noise"))
     return ProblemInstance(y, a_ref, s_ref, z, spec)
@@ -145,20 +145,21 @@ def _observe(a_ref: np.ndarray, s_ref: np.ndarray,
 #: truncation radius of the Laplacian kernel, in units of its scale b;
 #: tail mass beyond 12 b is below 1e-5
 KERNEL_RADIUS = 12.0
+#: NMR grid length and line width (full width at half maximum), in samples
+NMR_SAMPLES = 1200
+FWHM_SAMPLES = 3.0
 
 
-def gen_nmr_sources(peaklists: list[PeakList], n: int,
-                    fwhm_samples: float = 3.0) -> np.ndarray:
+def gen_nmr_sources(peaklists: list[PeakList], n: int) -> np.ndarray:
     """Render peak lists on an n-sample grid with Laplacian broadening.
 
-    A peak of amplitude a at position t0 contributes
-    a * exp(-|t - t0| / b) with b = fwhm / (2 ln 2), truncated at 12 b.
-    Fractional positions in [0, 1) are interpreted as a fraction of the
-    grid; anything else is a sample index.
+    A peak of amplitude a at sample position t0 contributes
+    a * exp(-|t - t0| / b) with b = FWHM_SAMPLES / (2 ln 2), truncated at
+    KERNEL_RADIUS b.
     """
-    if n < 2.0 * fwhm_samples:
-        raise ValueError("grid too short for the requested line width")
-    b = fwhm_samples / (2.0 * math.log(2.0))
+    if n < 2.0 * FWHM_SAMPLES:
+        raise ValueError("grid too short for the line width")
+    b = FWHM_SAMPLES / (2.0 * math.log(2.0))
     radius = KERNEL_RADIUS * b
     t = np.arange(n, dtype=float)
     rows = np.zeros((len(peaklists), n))
@@ -166,12 +167,10 @@ def gen_nmr_sources(peaklists: list[PeakList], n: int,
         for pos, amp in pl.peaks:
             if amp <= 0.0:
                 raise ValueError(f"non-positive amplitude in {pl.compound_name!r}")
-            center = pos * n if 0.0 <= pos < 1.0 and isinstance(pos, float) \
-                and not float(pos).is_integer() else float(pos)
-            if not 0.0 <= center < n:
+            if not 0.0 <= pos < n:
                 raise PeakOutOfRangeError(
                     f"peak at {pos} outside [0, {n}) in {pl.compound_name!r}")
-            dist = np.abs(t - center)
+            dist = np.abs(t - pos)
             kernel = np.where(dist <= radius, np.exp(-dist / b), 0.0)
             rows[i] += amp * kernel
     return rows
@@ -189,27 +188,21 @@ def load_peak_list(path: Path) -> PeakList:
     return PeakList(peaks=peaks, compound_name=Path(path).stem)
 
 
-def load_peak_corpus(directory: Path | None = None) -> list[PeakList]:
-    """Load all *.peaks files; defaults to the bundled corpus."""
-    if directory is None:
-        directory = Path(resources.files("ngmca") / "corpus" / "nmr")
-    paths = sorted(Path(directory).glob("*.peaks"))
+def load_peak_corpus() -> list[PeakList]:
+    """Load the bundled corpus: every *.peaks file, in name order."""
+    directory = Path(resources.files("ngmca") / "corpus" / "nmr")
+    paths = sorted(directory.glob("*.peaks"))
     if not paths:
         raise NgmcaError(f"no *.peaks files in {directory}")
     return [load_peak_list(p) for p in paths]
 
 
 def gen_nmr_instance(m: int, snr_db: float | str | None, seed: int,
-                     peaklists: list[PeakList] | None = None,
-                     n: int = 1200,
-                     fwhm_samples: float = 3.0) -> ProblemInstance:
-    """Instance whose sources are broadened bundled spectra."""
-    peaklists = peaklists if peaklists is not None else load_peak_corpus()
-    s_ref = gen_nmr_sources(peaklists, n, fwhm_samples)
-    r = s_ref.shape[0]
-    gen_a = stream(seed, "A")
-    a_ref = gen_factor(m, r, 1.0, 2.0, gen_a)
-    _redraw_dead(a_ref, 0, 1.0, 2.0, gen_a, "mixing column")
-    spec = InstanceSpec(m=m, n=n, r=r, p_A=1.0, alpha_A=2.0,
-                        snr_db=snr_db, seed=seed)
-    return _observe(a_ref, s_ref, spec)
+                     peaklists: list[PeakList] | None = None) -> ProblemInstance:
+    """Instance whose sources are the broadened spectra (by default the
+    bundled corpus) on NMR_SAMPLES samples."""
+    s_ref = gen_nmr_sources(
+        peaklists if peaklists is not None else load_peak_corpus(), NMR_SAMPLES)
+    spec = InstanceSpec(m=m, n=NMR_SAMPLES, r=s_ref.shape[0], snr_db=snr_db,
+                        seed=seed)
+    return _observe(s_ref, spec)

@@ -1,8 +1,9 @@
 """Separation quality evaluation: BSS decomposition, SDR, pairing.
 
-An estimated source is split into four mutually orthogonal components,
-obtained by nested projections onto the paired reference, the span of all
-references, and the span of references plus noise rows.
+pair_sources scores every estimate against every reference in closed form:
+SDR needs only the rank-one target, and the distortion is the rest.
+decompose_bss is the four-way split of one estimate into orthogonal target,
+interference, noise and artifact parts, by nested projections.
 """
 
 import math
@@ -74,10 +75,6 @@ def sdr(d: BssDecomposition) -> float:
     if distortion_energy < 1e-300:
         return math.inf
     return 10.0 * math.log10(target_energy / distortion_energy)
-
-
-def cap_sdr(value: float, cap: float = SDR_CAP_DB) -> float:
-    return min(max(value, -cap), cap)
 
 
 def _sdr_matrix(s_est: np.ndarray, s_ref: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from .priors import hard_threshold, prox_nonneg_l1
 
 @dataclass
 class SubsolverOptions:
-    max_inner_iterations: int = 80
-    rel_tol: float = 1e-6
+    max_inner_iterations: int
+    rel_tol: float
 
     def __post_init__(self):
         if self.max_inner_iterations < 1:
@@ -75,8 +75,7 @@ def _fista(gram, b, x, prox, lipschitz, iterations, tol, what, slope=None):
 
 
 def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
-                   opts: SubsolverOptions | None = None,
-                   hard: bool = False) -> np.ndarray:
+                   opts: SubsolverOptions, hard: bool = False) -> np.ndarray:
     """Accelerated forward-backward solve of the sparse S sub-problem.
 
     lam is one threshold per source row (a scalar broadcasts). By default
@@ -85,7 +84,6 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
     with the hard threshold instead (no optimality guarantee, no restart,
     stops at a fixed point or the cap).
     """
-    opts = opts or SubsolverOptions()
     m, n = y.shape
     r = a.shape[1]
     if a.shape[0] != m or s0.shape != (r, n):
@@ -107,9 +105,8 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
 
 
 def fista_update_A(y: np.ndarray, s: np.ndarray, a0: np.ndarray,
-                   opts: SubsolverOptions | None = None) -> np.ndarray:
+                   opts: SubsolverOptions) -> np.ndarray:
     """Accelerated projected-gradient solve of the non-negative A sub-problem."""
-    opts = opts or SubsolverOptions()
     m, n = y.shape
     r = s.shape[0]
     if s.shape[1] != n or a0.shape != (m, r):

@@ -8,11 +8,15 @@ import pytest
 from ngmca import bench
 from ngmca.algorithms import AlgorithmConfig
 from ngmca.bench import (BenchmarkConfig, emit_plot, records_to_csv,
-                         run_campaign, run_trial, summarize, summary_from_csv,
-                         summary_to_csv, timings_to_csv,
-                         write_campaign_outputs)
+                         run_campaign, run_trial, summarize, summary_to_csv,
+                         timings_to_csv, write_campaign_outputs)
 from ngmca.errors import UnknownAxisError
 from ngmca.bench import TrialRecord
+
+
+def read_summary(rows):
+    """summary.csv rows as `ngmca plot` reads them: strings, as written."""
+    return list(csv.DictReader(stdio.StringIO(summary_to_csv(rows))))
 
 
 def tiny_config(output_dir="results", trials=2):
@@ -48,8 +52,13 @@ class TestRunCampaign:
         ({"grid": {"m": [20], "n": [20], "r": [2], "snr_db": "noiseless"}},
          "snr_db"),
         ({"grid": {"m": [20], "n": [20], "r": 2}}, "'r'"),
+        ({"trials_per_cell": True}, "trials_per_cell"),
+        ({"grid": [20]}, "grid must"),
+        ({"algorithms": "als"}, "algorithms must"),
+        ({"algorithms": ["als"]}, "algorithms must"),
     ], ids=["zero_trials", "negative_trials", "string_trials", "empty_axis",
-            "string_axis", "scalar_axis"])
+            "string_axis", "scalar_axis", "bool_trials", "list_grid",
+            "string_algorithms", "string_algorithm"])
     def test_empty_or_ill_typed_campaign_rejected(self, change, field):
         # a campaign that cannot run must fail before it writes anything
         kwargs = {"grid": {"m": [20], "n": [20], "r": [2]},
@@ -152,11 +161,11 @@ class TestCsv:
 
     def test_summary_round_trip(self):
         rows = summarize(run_campaign(tiny_config()))
-        back = summary_from_csv(summary_to_csv(rows))
+        back = read_summary(rows)
         assert len(back) == len(rows)
         for r1, r2 in zip(rows, back):
             assert r1["algorithm_id"] == r2["algorithm_id"]
-            assert r1["mean"] == pytest.approx(r2["mean"])
+            assert r1["mean"] == float(r2["mean"])
 
     def test_summary_matches_recount_from_csv(self):
         records = run_campaign(tiny_config(trials=3))
@@ -208,9 +217,9 @@ class TestSummarize:
         cfg = tiny_config(trials=2)
         cfg.grid["n"] = [20, 30]
         cfg.algorithms = cfg.algorithms[:1]
-        rows = summary_from_csv(summary_to_csv(summarize(run_campaign(cfg))))
-        assert [row["grid_n"] for row in rows] == [20.0, 30.0]
-        assert [row["n"] for row in rows] == [2, 2]
+        rows = read_summary(summarize(run_campaign(cfg)))
+        assert [row["grid_n"] for row in rows] == ["20", "30"]
+        assert [row["n"] for row in rows] == ["2", "2"]
 
 
 class TestOutputsAndPlot:
@@ -263,8 +272,7 @@ class TestOutputsAndPlot:
         # a mixed SNR axis, read back from summary.csv as the CLI does
         noiseless = {"snr_db": "noiseless", "algorithm_id": "als", "n": 4,
                      "n_errors": 0, "mean": 30.0, "median": 30.0, "sem": 0.2}
-        rows = summary_from_csv(summary_to_csv(self.summary_rows()
-                                               + [noiseless]))
+        rows = read_summary(self.summary_rows() + [noiseless])
         out = tmp_path / "fig.svg"
         with pytest.warns(UserWarning, match="noiseless"):
             emit_plot(rows, "snr_db", out)
@@ -283,8 +291,8 @@ class TestOutputsAndPlot:
     def test_statistics_column_is_not_an_axis(self, tmp_path):
         # the trial count n must not be plotted as the instance's n, which
         # summary.csv writes as grid_n
-        rows = summary_from_csv(summary_to_csv(
-            [dict(r, n=48, grid_n=200) for r in self.summary_rows()]))
+        rows = read_summary([dict(r, n=48, grid_n=200)
+                             for r in self.summary_rows()])
         out = tmp_path / "fig.svg"
         with pytest.raises(UnknownAxisError, match="grid_n"):
             emit_plot(rows, "n", out)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -159,25 +161,59 @@ class TestPipeline:
                      "--out", str(out_dir)]) == 2
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("change", [
-        {"trials_per_cell": 0},
-        {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": []}},
-        {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": "noiseless"}},
-        {"grid": {"m": [15], "n": [15], "r": 2, "snr_db": [10.0]}},
-        {"algorithms": []},
+    @pytest.mark.parametrize("change, field", [
+        ({"trials_per_cell": 0}, "trials_per_cell"),
+        ({"grid": {"m": [15], "n": [15], "r": [2], "snr_db": []}}, "'snr_db'"),
+        ({"grid": {"m": [15], "n": [15], "r": [2], "snr_db": "noiseless"}},
+         "'snr_db'"),
+        ({"grid": {"m": [15], "n": [15], "r": 2, "snr_db": [10.0]}}, "'r'"),
+        ({"algorithms": []}, "algorithms must"),
+        ({"trials_per_cell": True}, "trials_per_cell"),
+        ({"grid": [20]}, "grid must"),
+        ({"algorithms": "als"}, "algorithms must"),
+        ({"algorithms": ["als"]}, "algorithms must"),
+        (None, "JSON object"),
     ], ids=["zero_trials", "empty_axis", "string_axis", "scalar_axis",
-            "no_algorithm"])
-    def test_bench_empty_campaign_is_runtime_error(self, tmp_path, change):
-        campaign = write_json(tmp_path / "campaign.json", {
-            "grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
-            "algorithms": [{"algorithm_id": "als", "rank": 2,
-                            "outer_iterations": 10}],
-            "trials_per_cell": 1, **change,
-        })
+            "no_algorithm", "bool_trials", "list_grid", "string_algorithms",
+            "string_algorithm", "list_config"])
+    def test_bench_empty_campaign_is_runtime_error(self, tmp_path, capsys,
+                                                   change, field):
+        config = {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
+                  "algorithms": [{"algorithm_id": "als", "rank": 2,
+                                  "outer_iterations": 10}],
+                  "trials_per_cell": 1}
+        # change None: the whole config wrapped in a list
+        campaign = write_json(tmp_path / "campaign.json",
+                              [config] if change is None
+                              else {**config, **change})
         out_dir = tmp_path / "results"
         assert main(["bench", "--config", campaign,
                      "--out", str(out_dir)]) == 2
         assert not out_dir.exists()
+        assert field in capsys.readouterr().err
+
+    def test_plot_leaves_out_an_all_error_group(self, tmp_path):
+        # p_S = 0 draws no live source, so every trial of that cell is an
+        # error row and its summary mean is written empty
+        campaign = write_json(tmp_path / "campaign.json", {
+            "grid": {"m": [15], "n": [15], "r": [2], "p_S": [0.0, 0.4],
+                     "snr_db": [10.0]},
+            "algorithms": [{"algorithm_id": "als", "rank": 2,
+                            "outer_iterations": 10}],
+            "trials_per_cell": 1,
+        })
+        out_dir = tmp_path / "results"
+        assert main(["bench", "--config", campaign,
+                     "--out", str(out_dir)]) == 0
+        summary = (out_dir / "summary.csv").read_text()
+        assert [row["mean"] == "" for row in
+                csv.DictReader(io.StringIO(summary))] == [True, False]
+        fig = tmp_path / "fig.svg"
+        assert main(["plot", "--summary", str(out_dir / "summary.csv"),
+                     "--x", "p_S", "--out", str(fig)]) == 0
+        sidecar = fig.with_suffix(".csv").read_text()
+        assert [row["p_S"] for row in
+                csv.DictReader(io.StringIO(sidecar))] == ["0.4"]
 
     def test_plot_unknown_axis_is_runtime_error(self, tmp_path):
         campaign = write_json(tmp_path / "campaign.json", {

@@ -123,8 +123,7 @@ class TestGenInstance:
 
 class TestNmrSources:
     def test_fwhm_definition(self):
-        rows = gen_nmr_sources([PeakList([(600, 1.0)])], 1200,
-                               fwhm_samples=3.0)
+        rows = gen_nmr_sources([PeakList([(600, 1.0)])], 1200)
         peak = rows[0, 600]
         # half maximum at +- fwhm/2: sample the kernel off-grid analytically
         b = 3.0 / (2 * np.log(2))
@@ -143,10 +142,11 @@ class TestNmrSources:
         np.testing.assert_allclose(shifted[0, 107:1100],
                                    base[0, 100:1093], atol=1e-12)
 
-    def test_fractional_positions(self):
-        frac = gen_nmr_sources([PeakList([(0.5, 1.0)])], 1200)
-        absolute = gen_nmr_sources([PeakList([(600, 1.0)])], 1200)
-        np.testing.assert_allclose(frac, absolute)
+    def test_positions_are_sample_indices(self):
+        # a position below 1 is a sample index too, not a grid fraction
+        row = gen_nmr_sources([PeakList([(0.5, 1.0)])], 1200)[0]
+        assert row[0] == row[1] == row.max()
+        assert (row[2:] < row[0]).all()
 
     def test_out_of_range_peak(self):
         with pytest.raises(PeakOutOfRangeError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ngmca import subsolvers
+from ngmca.algorithms import SCHEDULE_OPTIONS
 from ngmca.errors import NonFiniteError, ShapeMismatchError
 from ngmca.linops import normalize_columns, spectral_norm
 from ngmca.priors import soft_threshold
@@ -66,7 +67,7 @@ class TestFistaUpdateS:
         y = gen.standard_normal((6, 7))
         s0 = gen.random((3, 7))
         lam = 0.25
-        s = fista_update_S(y, a, lam, s0, SubsolverOptions())
+        s = fista_update_S(y, a, lam, s0, SCHEDULE_OPTIONS)
 
         def pen(s_):
             return objective(y, a, s_) + lam * np.abs(s_).sum()
@@ -76,18 +77,18 @@ class TestFistaUpdateS:
     def test_nonnegative_output(self, gen):
         a = normalized_design(gen, 5, 3)
         y = gen.standard_normal((5, 6))
-        s = fista_update_S(y, a, 0.1, np.zeros((3, 6)))
+        s = fista_update_S(y, a, 0.1, np.zeros((3, 6)), SCHEDULE_OPTIONS)
         assert (s >= 0).all()
 
     def test_shape_mismatch(self, gen):
         with pytest.raises(ShapeMismatchError):
             fista_update_S(np.ones((4, 5)), np.ones((4, 2)), 0.0,
-                           np.ones((3, 5)))
+                           np.ones((3, 5)), SCHEDULE_OPTIONS)
 
     def test_hard_mode_fixed_point(self, gen):
         a = normalized_design(gen, 6, 3)
         y = np.abs(gen.standard_normal((6, 7)))
-        opts = SubsolverOptions(max_inner_iterations=500)
+        opts = SubsolverOptions(max_inner_iterations=500, rel_tol=1e-6)
         s = fista_update_S(y, a, 0.05, np.zeros((3, 7)), opts, hard=True)
         assert (s >= 0).all() and np.isfinite(s).all()
 
@@ -98,7 +99,7 @@ class TestFistaUpdateS:
         a = normalized_design(gen, 6, 4)
         y = gen.standard_normal((6, 20))
         s0 = np.abs(gen.standard_normal((4, 20)))
-        opts = SubsolverOptions(max_inner_iterations=2000)
+        opts = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-6)
         good = fista_update_S(y, a, 0.01, s0, opts, hard=True)
         assert np.isfinite(good).all()
         monkeypatch.setattr(subsolvers, "lipschitz_constant",
@@ -131,13 +132,14 @@ class TestFistaUpdateA:
     def test_nonnegative_output(self, gen):
         s = gen.random((3, 8)) + 0.1
         y = gen.standard_normal((5, 8))
-        assert (fista_update_A(y, s, np.zeros((5, 3))) >= 0).all()
+        assert (fista_update_A(y, s, np.zeros((5, 3)), SCHEDULE_OPTIONS)
+                >= 0).all()
 
     def test_objective_not_above_start(self, gen):
         s = gen.random((3, 9)) + 0.1
         y = gen.standard_normal((6, 9))
         a0 = gen.random((6, 3))
-        a = fista_update_A(y, s, a0, SubsolverOptions())
+        a = fista_update_A(y, s, a0, SCHEDULE_OPTIONS)
         assert objective(y, a, s) <= objective(y, a0, s) + 1e-12
 
 
