@@ -1,7 +1,7 @@
 """Sparse non-negative blind source separation toolkit.
 
 Library layers: linops (matrix primitives), priors (thresholding and
-schedules), subsolvers (FISTA sub-problem solvers), algorithms (full
+schedules), subsolvers (FISTA and exact sub-problem solvers), algorithms (full
 factorizations), datagen (synthetic instances and NMR sources), metrics
 (SDR evaluation), bench (Monte-Carlo harness), cli (command line).
 """
@@ -17,13 +17,15 @@ from .datagen import (InstanceSpec, PeakList, ProblemInstance, add_noise_snr,
                       sample_generalized_gaussian)
 from .metrics import (BssDecomposition, PairingResult, condition_number,
                       decompose_bss, pair_sources, sdr)
-from .subsolvers import SubsolverOptions, fista_update_A, fista_update_S
+from .subsolvers import (SubsolverOptions, exact_update_A, exact_update_S,
+                         fista_update_A, fista_update_S)
 
 __all__ = [
     "AlgorithmConfig", "FactorPair", "InstanceSpec", "PeakList",
     "ProblemInstance", "BssDecomposition", "PairingResult",
     "SubsolverOptions", "add_noise_snr", "als", "condition_number",
-    "decompose_bss", "fista_update_A", "fista_update_S", "gen_factor",
+    "decompose_bss", "exact_update_A", "exact_update_S", "fista_update_A",
+    "fista_update_S", "gen_factor",
     "gen_instance", "gen_nmr_instance", "gen_nmr_sources", "hals_sparse",
     "initialize", "load_peak_corpus", "multiplicative_update", "ngmca",
     "ngmca_naive", "oracle_solve", "pair_sources", "run_algorithm",

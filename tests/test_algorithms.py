@@ -107,6 +107,44 @@ class TestNgmca:
         assert modes == {"ngmca_s": {False}, "ngmca_h": {True}}
         assert not np.array_equal(pairs["ngmca_s"].s, pairs["ngmca_h"].s)
 
+    def test_phase_routing(self, monkeypatch):
+        # the scheduled alternations stay FISTA: exact solves there change
+        # the decay path and lowered the SDR; the fixed-lambda phases
+        # (polish, stability_move, oracle) solve their blocks exactly
+        inst = gen_instance(InstanceSpec(m=30, n=30, r=3, p_S=0.3,
+                                         snr_db=20.0, seed=4))
+        calls = []
+
+        def spying(name, solve):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return spy
+
+        for name in ("fista_update_S", "fista_update_A", "exact_update_S",
+                     "exact_update_A"):
+            monkeypatch.setattr(algorithms, name,
+                                spying(name, getattr(algorithms, name)))
+        scheduled = ["fista_update_S", "fista_update_A"] * 80
+        exact = {"exact_update_S", "exact_update_A"}
+        for algo in ("ngmca_h", "ngmca_s"):
+            calls.clear()
+            marks = []
+            cfg = AlgorithmConfig(algo, rank=3, outer_iterations=80, seed=4)
+            pair = ngmca(inst.y, cfg, callback=lambda k, a, s, lam:
+                         marks.append((len(calls), lam)))
+            end, lam = marks[-1]
+            assert len(marks) == 80 and calls[:end] == scheduled
+            polish = calls[end:]
+            assert (set(polish) == exact) if algo == "ngmca_s" else not polish
+
+        calls.clear()
+        stability_move(inst.y, pair, lam)
+        assert calls == ["exact_update_S", "exact_update_A"]
+        calls.clear()
+        oracle_solve(inst.y, inst.a_ref, tau_final=1.0)
+        assert calls == ["exact_update_S"]
+
     def test_lambda_zero_fixed_mixing_reduces_to_nnls(self, gen):
         inst = gen_instance(InstanceSpec(m=20, n=25, r=3, p_S=0.3,
                                          snr_db=30.0, seed=6))

@@ -109,16 +109,26 @@ class TestRunCampaign:
         assert (tmp_path / "timings.csv").exists()
         assert (tmp_path / "manifest.json").exists()
 
-    def test_failures_become_error_rows(self):
-        cfg = tiny_config()
-        # rank exceeding min(m, n) makes the evaluation pairing impossible,
-        # which must surface as error rows rather than kill the campaign
-        cfg.algorithms = [AlgorithmConfig("als", rank=25,
-                                          outer_iterations=5)]
-        records = run_campaign(cfg)
-        assert all(r.error is not None or r.mean_sdr_db is not None
-                   for r in records)
-        assert len(records) == 2
+    def test_failures_become_error_rows(self, monkeypatch):
+        # an algorithm that raises must surface as error rows of its own
+        # rather than kill the campaign or the other algorithm's rows
+        run_algorithm = bench.run_algorithm
+
+        def failing_als(y, cfg, a_ref=None):
+            if cfg.algorithm_id == "als":
+                raise ArithmeticError("als diverged")
+            return run_algorithm(y, cfg, a_ref=a_ref)
+
+        monkeypatch.setattr(bench, "run_algorithm", failing_als)
+        records = run_campaign(tiny_config())
+        assert len(records) == 4
+        failed = [r for r in records if r.algorithm_id == "als"]
+        scored = [r for r in records if r.algorithm_id == "ngmca_naive"]
+        assert len(failed) == len(scored) == 2
+        assert all(r.error == "als diverged" and r.mean_sdr_db is None
+                   for r in failed)
+        assert all(r.error is None and r.mean_sdr_db is not None
+                   for r in scored)
 
 
 class TestTimings:

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ngmca import subsolvers
 from ngmca.algorithms import SCHEDULE_OPTIONS
-from ngmca.errors import NonFiniteError, ShapeMismatchError
+from ngmca.errors import (NonConvergenceWarning, NonFiniteError,
+                          ShapeMismatchError)
 from ngmca.linops import normalize_columns, spectral_norm
 from ngmca.priors import soft_threshold
-from ngmca.subsolvers import (SubsolverOptions, fista_update_A,
-                              fista_update_S, lipschitz_constant)
+from ngmca.subsolvers import (SubsolverOptions, exact_update_A,
+                              exact_update_S, fista_update_A, fista_update_S,
+                              lipschitz_constant)
 from oracles import grid_min_1d, grid_min_2d, nnls_enumerate_matrix, objective
 
 TIGHT = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-12)
@@ -141,6 +145,89 @@ class TestFistaUpdateA:
         a0 = gen.random((6, 3))
         a = fista_update_A(y, s, a0, SCHEDULE_OPTIONS)
         assert objective(y, a, s) <= objective(y, a0, s) + 1e-12
+
+
+class TestExactUpdate:
+    def test_A_enumeration_oracle(self, gen):
+        for _ in range(20):
+            s = gen.random((3, 6)) + 0.05
+            y = gen.standard_normal((4, 6))
+            a = exact_update_A(y, s, np.zeros((4, 3)))
+            np.testing.assert_allclose(a, nnls_enumerate_matrix(s.T, y.T).T,
+                                       atol=1e-10)
+
+    def test_warm_and_cold_start_agree(self, gen):
+        a = normalized_design(gen, 10, 6)
+        y = gen.standard_normal((10, 40))
+        lam = np.linspace(0.0, 0.3, 6)
+        cold = exact_update_S(y, a, lam, np.zeros((6, 40)))
+        assert (cold > 0).any() and (cold == 0).any()
+        for s0 in (gen.random((6, 40)), cold,
+                   cold + 0.1 * gen.standard_normal((6, 40))):
+            np.testing.assert_allclose(exact_update_S(y, a, lam, s0), cold,
+                                       atol=1e-12)
+
+    def test_zero_A_column_S_rows(self, gen):
+        # G_ii = 0: the row's only term is <lam_i, s_i>, so a positive
+        # threshold sends it to 0 and a zero one leaves it at its start
+        a = normalized_design(gen, 6, 3)
+        a[:, 1] = 0.0
+        y = gen.standard_normal((6, 8))
+        s0 = gen.random((3, 8))
+        for lam_1, row in ((0.2, np.zeros(8)), (0.0, s0[1])):
+            lam = np.array([0.1, lam_1, 0.1])
+            s = exact_update_S(y, a, lam, s0)
+            np.testing.assert_array_equal(s[1], row)
+            rest = exact_update_S(y, a[:, [0, 2]], lam[[0, 2]],
+                                  s0[[0, 2]])
+            np.testing.assert_allclose(s[[0, 2]], rest, atol=1e-12)
+
+    def test_zero_S_row_keeps_A_column(self, gen):
+        s = gen.random((3, 9)) + 0.1
+        s[2] = 0.0
+        y = gen.standard_normal((5, 9))
+        a0 = gen.standard_normal((5, 3))
+        a = exact_update_A(y, s, a0)
+        np.testing.assert_array_equal(a[:, 2], np.maximum(a0[:, 2], 0.0))
+        np.testing.assert_allclose(a[:, :2], exact_update_A(y, s[:2],
+                                                            a0[:, :2]),
+                                   atol=1e-12)
+
+    def test_singular_passive_gram(self, gen, monkeypatch):
+        # a duplicated column makes G_FF singular once both copies are
+        # passive: the lstsq fallback still reaches the minimum, whose
+        # split between the copies is not unique
+        a = normalized_design(gen, 6, 3)
+        a = np.column_stack([a, a[:, 0]])
+        y = np.abs(gen.standard_normal((6, 8)))
+        lstsq = np.linalg.lstsq
+        fallbacks = []
+
+        def spy(*args, **kwargs):
+            fallbacks.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        s = exact_update_S(y, a, 0.0, np.ones((4, 8)))
+        assert fallbacks and (s >= 0).all()
+        expected = nnls_enumerate_matrix(a[:, :3], y)
+        np.testing.assert_allclose(a @ s, a[:, :3] @ expected, atol=1e-10)
+
+    def test_exchange_cap_warns(self, gen, monkeypatch):
+        a = normalized_design(gen, 10, 6)
+        y = gen.standard_normal((10, 40))
+        s0 = np.zeros((6, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergenceWarning)
+            exact = exact_update_S(y, a, 0.05, s0)
+        monkeypatch.setattr(subsolvers, "EXCHANGE_CAP", 1)
+        with pytest.warns(NonConvergenceWarning, match="1 exchange rounds"):
+            s = exact_update_S(y, a, 0.05, s0)
+        # unsettled columns keep their start, settled ones are exact
+        capped = ~np.isclose(s, exact, atol=1e-12).all(axis=0)
+        assert capped.any() and (s[:, capped] == 0).all()
+        np.testing.assert_allclose(s[:, ~capped], exact[:, ~capped],
+                                   atol=1e-12)
 
 
 def iterates(solve, count):
