@@ -17,13 +17,13 @@ from .datagen import (InstanceSpec, PeakList, ProblemInstance, add_noise_snr,
                       sample_generalized_gaussian)
 from .metrics import (BssDecomposition, PairingResult, condition_number,
                       decompose_bss, pair_sources, sdr)
-from .subsolvers import (SubsolverOptions, exact_update_A, exact_update_S,
-                         fista_update_A, fista_update_S)
+from .subsolvers import (exact_update_A, exact_update_S, fista_update_A,
+                         fista_update_S)
 
 __all__ = [
     "AlgorithmConfig", "FactorPair", "InstanceSpec", "PeakList",
     "ProblemInstance", "BssDecomposition", "PairingResult",
-    "SubsolverOptions", "add_noise_snr", "als", "condition_number",
+    "add_noise_snr", "als", "condition_number",
     "decompose_bss", "exact_update_A", "exact_update_S", "fista_update_A",
     "fista_update_S", "gen_factor",
     "gen_instance", "gen_nmr_instance", "gen_nmr_sources", "hals_sparse",

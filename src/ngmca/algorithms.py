@@ -14,29 +14,16 @@ import numpy as np
 from . import linops, priors
 from .errors import NonConvergenceWarning, RankCollapseWarning
 from .rng import stream
-from .subsolvers import (SubsolverOptions, exact_update_A, exact_update_S,
-                         fista_update_A, fista_update_S)
+from .subsolvers import (exact_update_A, exact_update_S, fista_update_A,
+                         fista_update_S)
 
-NGMCA_NAIVE = "ngmca_naive"
-NGMCA_S = "ngmca_s"
-NGMCA_H = "ngmca_h"
-ALS = "als"
-MU = "mu"
-HALS_SPARSE = "hals_sparse"
 ORACLE = "oracle"
 
-ALGORITHM_IDS = (NGMCA_NAIVE, NGMCA_S, NGMCA_H, ALS, MU, HALS_SPARSE, ORACLE)
+#: default outer-iteration counts, by algorithm id
+DEFAULT_ITERATIONS = {"ngmca_naive": 500, "ngmca_s": 500, "ngmca_h": 500,
+                      "als": 500, "mu": 40000, "hals_sparse": 5000, ORACLE: 1}
 
-#: default outer-iteration counts per algorithm family
-DEFAULT_ITERATIONS = {
-    NGMCA_NAIVE: 500,
-    NGMCA_S: 500,
-    NGMCA_H: 500,
-    ALS: 500,
-    MU: 40000,
-    HALS_SPARSE: 5000,
-    ORACLE: 1,
-}
+ALGORITHM_IDS = tuple(DEFAULT_ITERATIONS)
 
 #: fraction of the outer iterations spent in the constant-threshold
 #: refinement phase at the end of the nGMCA variants
@@ -44,13 +31,6 @@ REFINEMENT_FRACTION = 0.2
 
 #: per-source budget of dead-source reinitializations
 REINIT_BUDGET = 3
-
-#: FISTA budget of the scheduled alternations of ngmca. The fixed-lambda
-#: phases (the polish, stability_move and the oracle) solve their blocks
-#: exactly instead; exact solves in the schedule would change its decay path,
-#: and lowered the SDR where they were tried (synthetic seed 1000:
-#: 27.44 -> 21.68 dB; NMR seed 0: 7.49 -> 4.57 dB).
-SCHEDULE_OPTIONS = SubsolverOptions(max_inner_iterations=80, rel_tol=1e-6)
 
 
 @dataclass
@@ -61,9 +41,15 @@ class FactorPair:
     s: np.ndarray
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1; a bool is an int, but not a count."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 1)
+
+
 @dataclass
 class AlgorithmConfig:
-    algorithm_id: str = NGMCA_S
+    algorithm_id: str = "ngmca_s"
     rank: int = 5
     outer_iterations: int | None = None  # None -> per-algorithm default
     tau_final: float = 1.0
@@ -73,10 +59,12 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.algorithm_id not in ALGORITHM_IDS:
             raise ValueError(f"unknown algorithm {self.algorithm_id!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.outer_iterations is not None and self.outer_iterations < 1:
-            raise ValueError("outer_iterations must be >= 1 (or None)")
+        if not _is_count(self.rank):
+            raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
+        if self.outer_iterations is not None and \
+                not _is_count(self.outer_iterations):
+            raise ValueError(f"outer_iterations must be an integer >= 1 (or "
+                             f"None), got {self.outer_iterations!r}")
         if self.tau_final < 0.0:
             raise ValueError("tau_final must be >= 0")
         if not 0.0 <= self.sparsity_target <= 1.0:
@@ -185,16 +173,14 @@ def ngmca(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
     algorithm id picks the threshold: hard for ngmca_h, soft otherwise;
     only the soft variant ends with a polish.
     """
-    hard = cfg.algorithm_id == NGMCA_H
+    hard = cfg.algorithm_id == "ngmca_h"
     total = cfg.resolved_iterations()
     decay = _decay_length(total)
     pair = _scaled_init(y, cfg.rank, cfg.seed)
     a, s = pair.a, pair.s
     lambda0 = priors.ngmca_lambda_init(a, s, y)
     reviver = _SourceReviver(cfg.seed, cfg.rank)
-    lam = np.full(cfg.rank, lambda0)
-    solve_s = partial(fista_update_S, opts=SCHEDULE_OPTIONS, hard=hard)
-    solve_a = partial(fista_update_A, opts=SCHEDULE_OPTIONS)
+    solve_s = partial(fista_update_S, hard=hard)
 
     def scheduled(a, s):
         grad = a.T @ (a @ s - y)
@@ -203,7 +189,7 @@ def ngmca(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
 
     for k in range(1, total + 1):
         a, s, lam = _alternate(y, a, s, scheduled if k <= decay else lam,
-                               solve_s, solve_a)
+                               solve_s, fista_update_A)
         reviver.revive(a, s)
         if callback is not None:
             callback(k, a, s, lam)
@@ -402,22 +388,18 @@ def oracle_solve(y: np.ndarray, a_ref: np.ndarray, tau_final: float) -> np.ndarr
     return exact_update_S(y, a_ref, lam, s0)
 
 
+#: the entry point of every algorithm but the oracle, by name: it is looked
+#: up when called, so a wrapped module function is the one that runs
+_ENTRY_POINTS = {"ngmca_naive": "ngmca_naive", "ngmca_s": "ngmca",
+                 "ngmca_h": "ngmca", "als": "als",
+                 "mu": "multiplicative_update", "hals_sparse": "hals_sparse"}
+
+
 def run_algorithm(y: np.ndarray, cfg: AlgorithmConfig,
                   a_ref: np.ndarray | None = None) -> FactorPair:
     """Dispatch on cfg.algorithm_id; the oracle needs the true mixing matrix."""
-    algo = cfg.algorithm_id
-    if algo == NGMCA_NAIVE:
-        return ngmca_naive(y, cfg)
-    if algo in (NGMCA_S, NGMCA_H):
-        return ngmca(y, cfg)
-    if algo == ALS:
-        return als(y, cfg)
-    if algo == MU:
-        return multiplicative_update(y, cfg)
-    if algo == HALS_SPARSE:
-        return hals_sparse(y, cfg)
-    if algo == ORACLE:
-        if a_ref is None:
-            raise ValueError("the oracle needs the reference mixing matrix")
-        return FactorPair(a_ref.copy(), oracle_solve(y, a_ref, cfg.tau_final))
-    raise ValueError(f"unknown algorithm_id {algo!r}")
+    if cfg.algorithm_id != ORACLE:
+        return globals()[_ENTRY_POINTS[cfg.algorithm_id]](y, cfg)
+    if a_ref is None:
+        raise ValueError("the oracle needs the reference mixing matrix")
+    return FactorPair(a_ref.copy(), oracle_solve(y, a_ref, cfg.tau_final))

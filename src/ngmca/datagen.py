@@ -106,17 +106,13 @@ def add_noise_snr(x: np.ndarray, snr_db: float,
 def _redraw_dead(mat: np.ndarray, axis: int, p: float, alpha: float,
                  gen: np.random.Generator, what: str) -> None:
     """Redraw all-zero rows (axis=1) or columns (axis=0), up to 100 times."""
+    lines = mat if axis == 1 else mat.T  # a view whose rows are mat's lines
     for _ in range(100):
-        dead = ~mat.any(axis=axis)
+        dead = ~lines.any(axis=1)
         if not dead.any():
             return
         for i in np.flatnonzero(dead):
-            fresh = gen.random(mat.shape[axis]) < p
-            vals = np.abs(sample_generalized_gaussian(alpha, mat.shape[axis], gen))
-            if axis == 1:
-                mat[i, :] = fresh * vals
-            else:
-                mat[:, i] = fresh * vals
+            lines[i] = gen_factor(1, lines.shape[1], p, alpha, gen)[0]
     raise NgmcaError(f"could not draw a nonzero {what} in 100 attempts "
                      f"(p={p} too small?)")
 

@@ -8,7 +8,7 @@ Every column of X is an independent r-dimensional problem sharing G.
 
 Two solvers cover them. fista_update_S/A run FISTA with step 1/L, L the
 largest eigenvalue of G, and a monotone restart that keeps the returned
-objective at or below the start's; the iteration budget is the caller's.
+objective at or below the start's, for at most FISTA_ITERATIONS steps.
 exact_update_S/A solve the soft-threshold problem exactly by block
 principal pivoting (Kim & Park 2011, SIAM J. Sci. Comput. 33(6)),
 warm-started from the passive set of the incoming iterate.
@@ -16,7 +16,6 @@ warm-started from the passive set of the incoming iterate.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +25,15 @@ from .linops import TINY, nonneg_project
 from .priors import hard_threshold, prox_nonneg_l1
 
 
-@dataclass
-class SubsolverOptions:
-    max_inner_iterations: int
-    rel_tol: float
-
-    def __post_init__(self):
-        if self.max_inner_iterations < 1:
-            raise ValueError("max_inner_iterations must be >= 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be > 0")
+#: FISTA budget of the scheduled alternations of ngmca, the one caller of
+#: fista_update_S/A: at most FISTA_ITERATIONS steps, stopping once the
+#: relative step is <= FISTA_TOL. The fixed-lambda phases (the polish,
+#: stability_move and the oracle) solve their blocks exactly instead; exact
+#: solves in the schedule would change its decay path, and lowered the SDR
+#: where they were tried (synthetic seed 1000: 27.44 -> 21.68 dB; NMR seed 0:
+#: 7.49 -> 4.57 dB).
+FISTA_ITERATIONS = 80
+FISTA_TOL = 1e-6
 
 
 def lipschitz_constant(gram: np.ndarray) -> float:
@@ -103,12 +101,12 @@ def _a_block(y, s, a0):
 
 
 def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
-                   opts: SubsolverOptions, hard: bool = False) -> np.ndarray:
+                   hard: bool = False) -> np.ndarray:
     """Accelerated forward-backward solve of the sparse S sub-problem.
 
     lam is one threshold per source row (a scalar broadcasts). By default
     the prox is the non-negative soft threshold and the result is the
-    minimizer within opts.rel_tol; with hard=True the same iteration runs
+    minimizer within FISTA_TOL; with hard=True the same iteration runs
     with the hard threshold instead (no optimality guarantee, no restart,
     stops at a fixed point or the cap).
     """
@@ -120,20 +118,19 @@ def fista_update_S(y: np.ndarray, a: np.ndarray, lam, s0: np.ndarray,
     args = (gram, proj, s0)
     if hard:
         return _fista(*args, lambda x: nonneg_project(hard_threshold(x, lam_step)),
-                      lipschitz, opts.max_inner_iterations, 0.0, "S")
+                      lipschitz, FISTA_ITERATIONS, 0.0, "S")
     return _fista(*args, lambda x: prox_nonneg_l1(x, lam_step), lipschitz,
-                  opts.max_inner_iterations, opts.rel_tol, "S", slope=lam)
+                  FISTA_ITERATIONS, FISTA_TOL, "S", slope=lam)
 
 
-def fista_update_A(y: np.ndarray, s: np.ndarray, a0: np.ndarray,
-                   opts: SubsolverOptions) -> np.ndarray:
+def fista_update_A(y: np.ndarray, s: np.ndarray, a0: np.ndarray) -> np.ndarray:
     """Accelerated projected-gradient solve of the non-negative A sub-problem."""
     gram, proj, a0_t = _a_block(y, s, a0)
     lipschitz = lipschitz_constant(gram)
     if lipschitz == 0.0:
         return np.ascontiguousarray(a0_t.T)
     a_t = _fista(gram, proj, a0_t, nonneg_project, lipschitz,
-                 opts.max_inner_iterations, opts.rel_tol, "A", slope=0.0)
+                 FISTA_ITERATIONS, FISTA_TOL, "A", slope=0.0)
     return np.ascontiguousarray(a_t.T)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from ngmca import subsolvers
 from ngmca.algorithms import AlgorithmConfig, ngmca, run_algorithm, \
     multiplicative_update, stability_move
 from ngmca.bench import BenchmarkConfig, records_to_csv, run_campaign
@@ -27,13 +28,11 @@ from ngmca.metrics import (SDR_CAP_DB, condition_number, decompose_bss,
                            pair_sources, sdr)
 from ngmca.priors import hard_threshold, prox_nonneg_l1, soft_threshold
 from ngmca.rng import derive_seed, stream
-from ngmca.subsolvers import (SubsolverOptions, exact_update_S,
-                              fista_update_S)
+from ngmca.subsolvers import exact_update_S, fista_update_S
 from oracles import (best_assignment, grid_min_1d, grid_min_2d_refined,
                      nnls_enumerate_matrix)
 
 DATA_DIR = Path(__file__).parent / "data"
-TIGHT = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-12)
 
 
 def normalized_design(gen, rows, cols):
@@ -58,10 +57,11 @@ def test_criterion_01_mixing_matrix_conditioning():
     assert worst <= 0.15
 
 
-def test_criterion_02_subsolver_exactness(gen):
-    solvers = {"FISTA": lambda y, a, lam, s0: fista_update_S(y, a, lam, s0,
-                                                             TIGHT),
-               "exact": exact_update_S}
+def test_criterion_02_subsolver_exactness(gen, monkeypatch):
+    # FISTA with a budget that runs it to the minimizer
+    monkeypatch.setattr(subsolvers, "FISTA_ITERATIONS", 2000)
+    monkeypatch.setattr(subsolvers, "FISTA_TOL", 1e-12)
+    solvers = {"FISTA": fista_update_S, "exact": exact_update_S}
     worst_nnls = dict.fromkeys(solvers, 0.0)
     worst_grid = dict.fromkeys(solvers, 0.0)
     for _ in range(200):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ngmca import algorithms
+from ngmca import algorithms, subsolvers
 from ngmca.algorithms import (ALGORITHM_IDS, DEFAULT_ITERATIONS,
                               AlgorithmConfig, FactorPair, _decay_length,
                               _SourceReviver, als, hals_sparse, initialize,
@@ -15,7 +15,7 @@ from ngmca.linops import (least_squares_solve_A, least_squares_solve_S,
                           nonneg_project)
 from ngmca.metrics import pair_sources
 from ngmca.priors import soft_threshold
-from ngmca.subsolvers import SubsolverOptions, fista_update_S
+from ngmca.subsolvers import fista_update_S
 from oracles import objective
 
 
@@ -145,13 +145,14 @@ class TestNgmca:
         oracle_solve(inst.y, inst.a_ref, tau_final=1.0)
         assert calls == ["exact_update_S"]
 
-    def test_lambda_zero_fixed_mixing_reduces_to_nnls(self, gen):
+    def test_lambda_zero_fixed_mixing_reduces_to_nnls(self, gen, monkeypatch):
         inst = gen_instance(InstanceSpec(m=20, n=25, r=3, p_S=0.3,
                                          snr_db=30.0, seed=6))
         s_oracle = oracle_solve(inst.y, inst.a_ref, tau_final=0.0)
-        opts = SubsolverOptions(max_inner_iterations=2000, rel_tol=1e-10)
+        monkeypatch.setattr(subsolvers, "FISTA_ITERATIONS", 2000)
+        monkeypatch.setattr(subsolvers, "FISTA_TOL", 1e-10)
         s_direct = fista_update_S(inst.y, inst.a_ref, 0.0,
-                                  np.zeros_like(inst.s_ref), opts)
+                                  np.zeros_like(inst.s_ref))
         np.testing.assert_allclose(s_oracle, s_direct, atol=1e-8)
 
     def test_refinement_phase_objective_non_increasing(self):
@@ -381,6 +382,20 @@ class TestSharedInvariants:
         assert DEFAULT_ITERATIONS["mu"] == 40000
         assert DEFAULT_ITERATIONS["hals_sparse"] == 5000
 
+    @pytest.mark.parametrize("algo", ALGORITHM_IDS)
+    def test_dispatch_reaches_the_algorithm(self, algo, monkeypatch):
+        entry = {"ngmca_naive": "ngmca_naive", "ngmca_s": "ngmca",
+                 "ngmca_h": "ngmca", "als": "als",
+                 "mu": "multiplicative_update", "hals_sparse": "hals_sparse",
+                 "oracle": "oracle_solve"}
+        reached = []
+        for name in set(entry.values()):
+            monkeypatch.setattr(algorithms, name, lambda *args, name=name,
+                                **kwargs: reached.append(name))
+        y = np.ones((4, 4))
+        run_algorithm(y, AlgorithmConfig(algo, rank=2), a_ref=np.ones((4, 2)))
+        assert reached == [entry[algo]]
+
     def test_run_algorithm_oracle_needs_mixing(self):
         with pytest.raises(ValueError):
             run_algorithm(np.ones((4, 4)),
@@ -395,6 +410,17 @@ class TestSharedInvariants:
         for algo in ALGORITHM_IDS:
             with pytest.raises(ValueError, match="outer_iterations"):
                 AlgorithmConfig(algo, rank=2, outer_iterations=iterations)
+
+    @pytest.mark.parametrize("field", ["rank", "outer_iterations"])
+    @pytest.mark.parametrize("value", [30.0, 2.5, True, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AlgorithmConfig("als", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = AlgorithmConfig("als", rank=np.int64(3),
+                              outer_iterations=np.int32(7))
+        assert cfg.resolved_iterations() == 7
 
     def test_negative_tau_final_rejected(self):
         with pytest.raises(ValueError, match="tau_final"):

@@ -173,9 +173,14 @@ class TestPipeline:
         ({"algorithms": "als"}, "algorithms must"),
         ({"algorithms": ["als"]}, "algorithms must"),
         (None, "JSON object"),
+        ({"algorithms": [{"algorithm_id": "als", "outer_iterations": 30.0}]},
+         "outer_iterations"),
+        ({"algorithms": [{"algorithm_id": "als", "outer_iterations": True}]},
+         "outer_iterations"),
     ], ids=["zero_trials", "empty_axis", "string_axis", "scalar_axis",
             "no_algorithm", "bool_trials", "list_grid", "string_algorithms",
-            "string_algorithm", "list_config"])
+            "string_algorithm", "list_config", "float_iterations",
+            "bool_iterations"])
     def test_bench_empty_campaign_is_runtime_error(self, tmp_path, capsys,
                                                    change, field):
         config = {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},
