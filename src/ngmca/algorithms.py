@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linops, priors
 from .errors import NonConvergenceWarning, RankCollapseWarning
-from .rng import stream
+from .rng import as_seed, stream
 from .subsolvers import (exact_update_A, exact_update_S, fista_update_A,
                          fista_update_S)
 
@@ -41,10 +41,13 @@ class FactorPair:
     s: np.ndarray
 
 
-def _is_count(value) -> bool:
-    """An integer >= 1; a bool is an int, but not a count."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= 1)
+def as_count(value, field: str) -> int:
+    """value as a plain int >= 1, or a ValueError that names field; a bool
+    is an int, but not a count."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -59,12 +62,11 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.algorithm_id not in ALGORITHM_IDS:
             raise ValueError(f"unknown algorithm {self.algorithm_id!r}")
-        if not _is_count(self.rank):
-            raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
-        if self.outer_iterations is not None and \
-                not _is_count(self.outer_iterations):
-            raise ValueError(f"outer_iterations must be an integer >= 1 (or "
-                             f"None), got {self.outer_iterations!r}")
+        self.rank = as_count(self.rank, "rank")
+        if self.outer_iterations is not None:
+            self.outer_iterations = as_count(self.outer_iterations,
+                                             "outer_iterations")
+        self.seed = as_seed(self.seed, "seed")
         if self.tau_final < 0.0:
             raise ValueError("tau_final must be >= 0")
         if not 0.0 <= self.sparsity_target <= 1.0:
@@ -309,40 +311,13 @@ def multiplicative_update(y: np.ndarray, cfg: AlgorithmConfig,
     return FactorPair(a, s)
 
 
-def _hals_sparsity(s: np.ndarray) -> float:
-    top = s.max()
-    if top <= 0.0:
-        return 1.0
-    return float(np.mean(s < 1e-6 * top))
-
-
-def _hals_pick_lambda(gram, proj, d, s, target: float, lam_max: float) -> float:
-    """Bisection for the per-sweep threshold hitting the sparsity target.
-
-    The sparsity of a Jacobi-style candidate update of all rows is monotone
-    in lambda, so 16 halvings pin it down well within the tolerance the
-    sweep itself can deliver.
-    """
-    base = proj - gram @ s + d[:, None] * s
-
-    def rate(lam):
-        return _hals_sparsity(np.maximum((base - lam) / d[:, None], 0.0))
-
-    lo, hi = 0.0, lam_max
-    for _ in range(16):
-        mid = 0.5 * (lo + hi)
-        if rate(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def hals_sparse(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPair:
     """Cyclic rank-one updates with automatic sparsity-rate management.
 
-    Each sweep re-selects lambda by bisection so that the fraction of S
-    entries below 1e-6 times its largest entry tracks cfg.sparsity_target.
+    Each sweep sets lambda to the cfg.sparsity_target quantile of
+    B = A^T (Y - A S) + d S, d = diag(A^T A), floored at 0: the Jacobi
+    candidate max((B - lambda) / d, 0) of all rows is then zero on that
+    fraction of the entries of S.
     """
     total = cfg.resolved_iterations()
     r = cfg.rank
@@ -353,11 +328,10 @@ def hals_sparse(y: np.ndarray, cfg: AlgorithmConfig, callback=None) -> FactorPai
         gram = a.T @ a
         proj = a.T @ y
         d = np.maximum(np.diag(gram), linops.TINY)
+        lam = 0.0
         if cfg.sparsity_target > 0.0:
-            lam_max = np.max(np.abs(proj))
-            lam = _hals_pick_lambda(gram, proj, d, s, cfg.sparsity_target, lam_max)
-        else:
-            lam = 0.0
+            base = proj - gram @ s + d[:, None] * s
+            lam = max(float(np.quantile(base, cfg.sparsity_target)), 0.0)
         for i in range(r):
             resid_proj = proj[i] - gram[i] @ s + d[i] * s[i]
             s[i] = np.maximum((resid_proj - lam) / d[i], 0.0)

@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import AlgorithmConfig, run_algorithm
+from .algorithms import AlgorithmConfig, as_count, run_algorithm
 from .datagen import InstanceSpec, ProblemInstance, gen_instance
 from .errors import UnknownAxisError
 from .metrics import SDR_CAP_DB, condition_number, pair_sources
-from .rng import derive_seed
+from .rng import as_seed, derive_seed
 
 RESULTS_CSV = "results.csv"
 TIMINGS_CSV = "timings.csv"
@@ -53,10 +53,9 @@ class BenchmarkConfig:
                              f"algorithm configs, got {algos!r}")
         self.algorithms = [AlgorithmConfig(**a) if isinstance(a, dict) else a
                            for a in algos]
-        # type(), not isinstance(): a bool is an int, but not a trial count
-        if type(self.trials_per_cell) is not int or self.trials_per_cell < 1:
-            raise ValueError(f"trials_per_cell must be an integer >= 1, "
-                             f"got {self.trials_per_cell!r}")
+        self.trials_per_cell = as_count(self.trials_per_cell,
+                                        "trials_per_cell")
+        self.base_seed = as_seed(self.base_seed, "base_seed")
         if not isinstance(self.grid, dict):
             raise ValueError(f"grid must be a mapping of axes, got {self.grid!r}")
         for axis, values in self.grid.items():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NgmcaError, PeakOutOfRangeError, ZeroSignalError
-from .rng import stream
+from .rng import as_seed, stream
 
 NOISELESS = "noiseless"
 
@@ -38,6 +38,7 @@ class InstanceSpec:
         if isinstance(snr, str) and snr != NOISELESS:
             snr = float(snr)
         self.snr_db = NOISELESS if snr is None or snr == math.inf else snr
+        self.seed = as_seed(self.seed, "seed")
 
     def is_noiseless(self) -> bool:
         return self.snr_db == NOISELESS

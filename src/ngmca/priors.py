@@ -48,16 +48,14 @@ def naive_threshold_select(s_all: np.ndarray, k: int, total: int,
     For row i, candidates are the entries above the noise floor, tau_final
     times the row's MAD scale. At step k the threshold is the magnitude of
     the ceil((k/total) * n_cand)-th largest candidate, and exactly the floor
-    at k = total so the endgame keeps every candidate.
+    at k = total so the endgame keeps every candidate (and in a row with
+    none).
     """
     floors = tau_final * mad_sigma_rows(s_all)
     lam = np.empty(s_all.shape[0])
     for i, (row, floor) in enumerate(zip(s_all, floors)):
         mags = np.abs(row)
         cand = np.sort(mags[mags > floor])[::-1]
-        if cand.size == 0:
-            lam[i] = floor
-            continue
         target = min(max(math.ceil(k / total * cand.size), 1), cand.size)
         lam[i] = floor if target >= cand.size else cand[target - 1]
     return lam

@@ -22,6 +22,18 @@ def derive_key(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def as_seed(value, field: str) -> int:
+    """value as a plain int seed, or a ValueError that names field.
+
+    Tags are hashed through their repr, so 1.0, True and np.int64(1) would
+    each draw other numbers than 1: only an integer that is not a bool is
+    a seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def derive_seed(*parts) -> int:
     """64-bit seed for configs that persist a single integer."""
     return derive_key(*parts) & 0xFFFFFFFFFFFFFFFF

@@ -169,22 +169,28 @@ def _principal_pivoting(gram, b, x0, what):
     rule, per column, from the passive set {x0 > 0} of the feasible start.
     A variable with G_ii = 0 is decoupled (G is positive semi-definite, so
     its row is 0): it goes to 0 when b_i < 0 and otherwise keeps its start,
-    as FISTA leaves it. A column still infeasible after EXCHANGE_CAP rounds
-    keeps its start and raises a NonConvergenceWarning.
+    as FISTA leaves it. An active variable's gradient counts as negative
+    only beyond its rounding error, 4 r eps (|G| |x| + |B|): a variable at
+    0 with a zero gradient would otherwise flip between a 1e-17 passive
+    value and a -1e-16 gradient until the cap. A column still infeasible
+    after EXCHANGE_CAP rounds keeps its start and raises a
+    NonConvergenceWarning.
     """
     x = x0.copy()
     free = np.diag(gram) > 0.0
     x[~free] = np.where(b[~free] < 0.0, 0.0, x[~free])
     g, bf = gram[np.ix_(free, free)], b[free]
     r, k = bf.shape
+    tol, g_abs = 4 * r * np.finfo(float).eps, np.abs(g)
     passive = x[free] > 0.0
     xf = _passive_solve(g, bf, passive)
     todo = np.arange(k)
     fewest = np.full(k, r + 1)  # smallest infeasible count seen per column
     full_tries = np.full(k, 3)  # full exchanges left before the backup rule
     for rounds in range(EXCHANGE_CAP + 1):
-        xt, pt = xf[:, todo], passive[:, todo]
-        swap = np.where(pt, xt < 0.0, g @ xt - bf[:, todo] < 0.0)
+        xt, pt, bt = xf[:, todo], passive[:, todo], bf[:, todo]
+        grad_tol = tol * (g_abs @ np.abs(xt) + np.abs(bt))
+        swap = np.where(pt, xt < 0.0, g @ xt - bt < -grad_tol)
         count = swap.sum(axis=0)
         unsettled = count > 0
         todo, swap, count = todo[unsettled], swap[:, unsettled], count[unsettled]

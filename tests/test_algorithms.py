@@ -321,16 +321,18 @@ class TestHalsSparse:
         pair = hals_sparse(y, cfg)
         assert np.linalg.norm(y - pair.a @ pair.s) <= 1e-6
 
-    def test_sparsity_target_hit(self):
+    @pytest.mark.parametrize("target", [0.2, 0.6, 0.9])
+    def test_sparsity_target_hit(self, target):
         inst = gen_instance(InstanceSpec(m=40, n=40, r=4, p_S=0.3,
                                          snr_db=20.0, seed=9))
         y = nonneg_project(inst.y)
         cfg = AlgorithmConfig("hals_sparse", rank=4, outer_iterations=500,
-                              sparsity_target=0.6, seed=9)
+                              sparsity_target=target, seed=9)
         pair = hals_sparse(y, cfg)
         top = pair.s.max()
         rate = float(np.mean(pair.s < 1e-6 * top))
-        assert rate == pytest.approx(0.6, abs=0.02)
+        # within one entry of S
+        assert rate == pytest.approx(target, abs=1.0 / pair.s.size)
 
 
 class TestOracle:
@@ -421,6 +423,24 @@ class TestSharedInvariants:
         cfg = AlgorithmConfig("als", rank=np.int64(3),
                               outer_iterations=np.int32(7))
         assert cfg.resolved_iterations() == 7
+        assert type(cfg.rank) is int and type(cfg.outer_iterations) is int
+
+    @pytest.mark.parametrize("seed", [1.0, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        # streams hash the seed's repr: 1.0 or True would draw other
+        # numbers than 1
+        with pytest.raises(ValueError, match="seed"):
+            AlgorithmConfig("als", seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        cfg = AlgorithmConfig("als", rank=2, outer_iterations=5,
+                              seed=np.int64(1))
+        assert type(cfg.seed) is int
+        y = np.abs(np.random.default_rng(0).standard_normal((6, 7)))
+        pair = run_algorithm(y, cfg)
+        plain = run_algorithm(y, AlgorithmConfig("als", rank=2,
+                                                 outer_iterations=5, seed=1))
+        np.testing.assert_array_equal(pair.s, plain.s)
 
     def test_negative_tau_final_rejected(self):
         with pytest.raises(ValueError, match="tau_final"):

@@ -56,15 +56,38 @@ class TestRunCampaign:
         ({"grid": [20]}, "grid must"),
         ({"algorithms": "als"}, "algorithms must"),
         ({"algorithms": ["als"]}, "algorithms must"),
+        ({"trials_per_cell": 2.0}, "trials_per_cell"),
+        ({"base_seed": 0.0}, "base_seed"),
+        ({"base_seed": True}, "base_seed"),
+        ({"base_seed": "0"}, "base_seed"),
     ], ids=["zero_trials", "negative_trials", "string_trials", "empty_axis",
             "string_axis", "scalar_axis", "bool_trials", "list_grid",
-            "string_algorithms", "string_algorithm"])
+            "string_algorithms", "string_algorithm", "float_trials",
+            "float_seed", "bool_seed", "string_seed"])
     def test_empty_or_ill_typed_campaign_rejected(self, change, field):
         # a campaign that cannot run must fail before it writes anything
         kwargs = {"grid": {"m": [20], "n": [20], "r": [2]},
                   "algorithms": [AlgorithmConfig("als", rank=2)], **change}
         with pytest.raises(ValueError, match=field):
             BenchmarkConfig(**kwargs)
+
+    def test_numpy_integers_run_as_ints(self, tmp_path):
+        # the same campaign as with plain ints, manifest included
+        plain = tiny_config(str(tmp_path / "plain"))
+        numpy_ints = BenchmarkConfig(**{
+            **vars(plain), "trials_per_cell": np.int64(2),
+            "base_seed": np.int64(7), "output_dir": str(tmp_path / "numpy"),
+            "algorithms": [AlgorithmConfig("als", rank=np.int64(2),
+                                           outer_iterations=np.int32(20))]})
+        assert type(numpy_ints.trials_per_cell) is int
+        assert type(numpy_ints.base_seed) is int
+        plain.algorithms = plain.algorithms[:1]
+        for cfg in (plain, numpy_ints):
+            write_campaign_outputs(cfg, run_campaign(cfg), cfg.output_dir)
+        for name in ("results.csv", "summary.csv"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "numpy" / name).read_bytes())
+        assert (tmp_path / "numpy" / "manifest.json").is_file()
 
     def test_campaign_without_algorithms_rejected(self):
         with pytest.raises(ValueError, match="algorithms"):

@@ -177,10 +177,11 @@ class TestPipeline:
          "outer_iterations"),
         ({"algorithms": [{"algorithm_id": "als", "outer_iterations": True}]},
          "outer_iterations"),
+        ({"base_seed": 0.0}, "base_seed"),
     ], ids=["zero_trials", "empty_axis", "string_axis", "scalar_axis",
             "no_algorithm", "bool_trials", "list_grid", "string_algorithms",
             "string_algorithm", "list_config", "float_iterations",
-            "bool_iterations"])
+            "bool_iterations", "float_seed"])
     def test_bench_empty_campaign_is_runtime_error(self, tmp_path, capsys,
                                                    change, field):
         config = {"grid": {"m": [15], "n": [15], "r": [2], "snr_db": [10.0]},

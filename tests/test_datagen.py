@@ -108,6 +108,20 @@ class TestGenInstance:
         np.testing.assert_array_equal(i1.y, i2.y)
         np.testing.assert_array_equal(i1.z, i2.z)
 
+    @pytest.mark.parametrize("seed", [1.0, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        # streams hash the seed's repr: 1.0 or True would draw another
+        # instance than 1
+        with pytest.raises(ValueError, match="seed"):
+            InstanceSpec(m=5, n=5, r=2, seed=seed)
+
+    def test_numpy_integer_seed_is_plain(self):
+        spec = InstanceSpec(m=5, n=6, r=2, snr_db=20.0, seed=np.int64(1))
+        assert type(spec.seed) is int
+        plain = InstanceSpec(m=5, n=6, r=2, snr_db=20.0, seed=1)
+        np.testing.assert_array_equal(gen_instance(spec).y,
+                                      gen_instance(plain).y)
+
     def test_standard_settings_activation_rate(self):
         spec = InstanceSpec(seed=4)  # defaults: 200x200, r=15, p_S=10%
         inst = gen_instance(spec)

@@ -124,6 +124,14 @@ class TestNaiveThresholdSelect:
             active = int((np.abs(row) > lam[0]).sum())
             assert abs(active - k) <= 1
 
+    def test_row_without_candidates_gets_the_floor(self, gen):
+        # a zero row, and a row entirely below a high noise floor
+        s_all = np.vstack([np.zeros(8), gen.standard_normal(8)])
+        floor = 100.0 * mad_sigma_rows(s_all)
+        for k in (1, 5, 10):
+            np.testing.assert_array_equal(
+                naive_threshold_select(s_all, k, 10, tau_final=100.0), floor)
+
     def test_never_below_floor(self, gen):
         s_all = gen.standard_normal((5, 60))
         floor = 1.0 * mad_sigma_rows(s_all)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ngmca import subsolvers
+from ngmca.datagen import InstanceSpec, gen_instance
 from ngmca.errors import (NonConvergenceWarning, NonFiniteError,
                           ShapeMismatchError)
 from ngmca.linops import normalize_columns, spectral_norm
@@ -224,6 +225,20 @@ class TestExactUpdate:
         assert fallbacks and (s >= 0).all()
         expected = nnls_enumerate_matrix(a[:, :3], y)
         np.testing.assert_allclose(a @ s, a[:, :3] @ expected, atol=1e-10)
+
+    def test_degenerate_column_settles(self):
+        # noiseless, with lambda = 0 as the oracle sets it here (the MAD of
+        # a sparse projection): column 17's third variable sits at 0 with a
+        # zero gradient, and exact sign tests flipped it on 1e-17 noise
+        # until the exchange cap
+        inst = gen_instance(InstanceSpec(m=20, n=30, r=3, p_S=0.2,
+                                         seed=9725279725833975532))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergenceWarning)
+            s = exact_update_S(inst.y, inst.a_ref, 0.0, np.zeros((3, 30)))
+        np.testing.assert_allclose(s, nnls_enumerate_matrix(inst.a_ref,
+                                                            inst.y),
+                                   atol=1e-10)
 
     def test_exchange_cap_warns(self, gen, monkeypatch):
         a = normalized_design(gen, 10, 6)
